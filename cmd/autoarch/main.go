@@ -10,15 +10,13 @@
 //	autoarch -app blastn [-w1 100 -w2 1] [-scale small] [-space full|dcache] [-model] [-json]
 //	autoarch -app mix -phases [-interval N] [-switch-penalty N] [-phase-threshold T] [-json]
 //	autoarch -app mix -replay [-online] ...
-//	autoarch -app blastn [-model-dir DIR] [-auto-workers] ...
+//	autoarch -app blastn [-model-dir DIR] ...
 //	autoarch -app mix -trace ...
 //	autoarch -app blastn -sweep-weights "100:1,1:100" [-json]
 //	autoarch -app blastn -remote http://head:8723 [-class bulk] ...
 //
 // With -model-dir the built model set is spilled to a durable artifact
-// and reused by later runs (and by an autoarchd sharing the directory);
-// -auto-workers replaces the static parallelism defaults with a measured
-// split of the host between concurrent runs and intra-run replay.
+// and reused by later runs (and by an autoarchd sharing the directory).
 //
 // With -json the result is the core.Report document — the same
 // serialization the autoarchd daemon returns for a finished job — on
@@ -69,9 +67,7 @@ import (
 
 	"liquidarch/internal/config"
 	"liquidarch/internal/core"
-	"liquidarch/internal/cpu"
 	"liquidarch/internal/obs"
-	"liquidarch/internal/platform"
 	"liquidarch/internal/progs"
 	"liquidarch/internal/workload"
 )
@@ -102,11 +98,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		sweep     = fs.String("sweep-weights", "", "comma-separated w1:w2[:w3] weightings swept as one batch — one model build, N solves (e.g. \"100:1,1:100\")")
 		remoteURL = fs.String("remote", "", "submit to a running autoarchd at this base URL (POST /v1/jobs, or /v1/batch with -sweep-weights) instead of tuning locally")
 		class     = fs.String("class", "", "scheduling class for -remote submissions: interactive (default) or bulk")
-
-		superblocks = fs.Int("superblocks", 0, "superblock compilation threshold: taken-branch heat before a hot block is specialized (0 = default, negative = off); never changes results, only speed")
-		intraRun    = fs.Int("intra-run-workers", 0, "workers for checkpointed parallel replay of repeated interval-profiled runs (0 or 1 = serial); never changes results, only speed")
-		modelDir    = fs.String("model-dir", "", "spill built model sets to durable artifacts in this directory and reuse them on later runs (empty = build in memory every run)")
-		autoWorkers = fs.Bool("auto-workers", false, "measure the host's effective parallelism once and split it between concurrent runs and intra-run replay (ignored when -workers is set); never changes results, only speed")
+		modelDir  = fs.String("model-dir", "", "spill built model sets to durable artifacts in this directory and reuse them on later runs (empty = build in memory every run)")
 
 		phases    = fs.Bool("phases", false, "phase-aware tuning: one configuration per detected execution phase")
 		interval  = fs.Uint64("interval", core.DefaultIntervalInstructions, "phase profiling interval length in instructions")
@@ -132,14 +124,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// Deferred so the breakdown prints after whichever path ran (and
 		// still shows the spans completed so far when the tune failed).
 		defer printTrace(tracer, progress)
-	}
-
-	if *superblocks != 0 || *intraRun != 0 {
-		sb := *superblocks
-		if sb == 0 {
-			sb = cpu.DefaultSuperblockThreshold
-		}
-		platform.SetDefaultTuning(sb, *intraRun)
 	}
 
 	if _, ok := progs.ByName(*app); !ok {
@@ -200,10 +184,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	sess := core.NewSession(core.SessionOptions{
-		ModelStore:  modelStore,
-		AutoWorkers: *autoWorkers,
-	})
+	sess := core.NewSession(core.SessionOptions{ModelStore: modelStore})
 
 	if len(weightings) > 0 {
 		return runSweep(ctx, sess, req, weightings, *jsonOut, stdout, stderr, progress)

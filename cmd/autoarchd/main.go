@@ -20,10 +20,8 @@
 // simulations of one key across replicas with a TTL claim file). With
 // -model-dir, completed model sets additionally spill to durable
 // artifacts, so a restarted or sibling replica serves a previously
-// modeled application without a single simulation or model rebuild;
-// -auto-workers replaces the static parallelism defaults with a
-// measured split of the host between concurrent runs and intra-run
-// replay. See DESIGN.md §14-§15, §18.
+// modeled application without a single simulation or model rebuild.
+// See DESIGN.md §14-§15, §18.
 //
 // The daemon also scales out actively as a distributed measurement
 // fabric (DESIGN.md §21). With -fabric it is a coordinator: workers
@@ -47,7 +45,7 @@
 //	          [-model-dir DIR] [-job-retain 1024] [-job-ttl 0]
 //	          [-store-max-bytes 0] [-store-max-age 0] [-store-gc-every 64]
 //	          [-store-lease 0] [-engine-pool N] [-mem-pool N]
-//	          [-auto-workers] [-pprof] [-slow-job 1m]
+//	          [-pprof] [-slow-job 1m]
 //	autoarchd -fabric [-fabric-timeout 5m] [-fabric-retries 2] ...
 //	autoarchd -worker -coordinator http://head:8723 [-advertise URL]
 //	          [-worker-id ID] [-heartbeat 5s] [-measure-concurrency N] ...
@@ -102,9 +100,6 @@ func main() {
 		storeLease    = flag.Duration("store-lease", 0, "cross-replica measurement claim TTL for the shared -cache-dir (0 = off)")
 		enginePool    = flag.Int("engine-pool", 0, "platform engine pool size (0 = default)")
 		memPool       = flag.Int("mem-pool", 0, "platform loaded-memory pool size (0 = default)")
-		superblocks   = flag.Int("superblocks", 0, "superblock compilation threshold: taken-branch heat before a hot block is specialized (0 = default, negative = off); never changes results, only speed")
-		intraRun      = flag.Int("intra-run-workers", 0, "workers for checkpointed parallel replay of repeated interval-profiled runs (0 or 1 = serial); never changes results, only speed")
-		autoWorkers   = flag.Bool("auto-workers", false, "measure the host's effective parallelism once and split it between concurrent runs and intra-run replay for jobs that do not pin a worker count; never changes results, only speed")
 		pprofOn       = flag.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/ on the service listener")
 		slowJob       = flag.Duration("slow-job", time.Minute, "log a warning for jobs slower than this, with their slowest pipeline stages (0 = off)")
 
@@ -183,21 +178,18 @@ func main() {
 	}
 
 	server := serve.New(serve.Options{
-		Workers:             *jobs,
-		QueueDepth:          *queueDepth,
-		BulkQueueDepth:      *bulkQueue,
-		Fabric:              remote,
-		Worker:              worker,
-		Provider:            cache,
-		Store:               store,
-		RetainJobs:          *jobRetain,
-		JobTTL:              *jobTTL,
-		ModelCacheEntries:   *modelCache,
-		SuperblockThreshold: *superblocks,
-		IntraRunWorkers:     *intraRun,
-		ModelStore:          modelStore,
-		AutoWorkers:         *autoWorkers,
-		SlowJobThreshold:    *slowJob,
+		Workers:           *jobs,
+		QueueDepth:        *queueDepth,
+		BulkQueueDepth:    *bulkQueue,
+		Fabric:            remote,
+		Worker:            worker,
+		Provider:          cache,
+		Store:             store,
+		RetainJobs:        *jobRetain,
+		JobTTL:            *jobTTL,
+		ModelCacheEntries: *modelCache,
+		ModelStore:        modelStore,
+		SlowJobThreshold:  *slowJob,
 	})
 	defer server.Close()
 

@@ -79,8 +79,8 @@ func run(ctx context.Context) int {
 	}
 
 	// Mutex and block profiles cover the concurrency layers the CPU
-	// profile cannot see — engine-pool contention and the segment fan-out
-	// of parallel interval runs (DESIGN.md §17) show up here.
+	// profile cannot see — engine-pool contention and the measurement
+	// fan-out's waits on the shared cache show up here.
 	if *mutexprofile != "" {
 		runtime.SetMutexProfileFraction(1)
 		defer writeProfile("mutex", *mutexprofile)

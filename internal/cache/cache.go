@@ -326,38 +326,3 @@ func (c *Cache) Contains(addr uint32) bool {
 	line, tag := c.index(addr)
 	return c.lookup(line, tag) >= 0
 }
-
-// State is a deep snapshot of a cache's complete mutable state — tags,
-// replacement bookkeeping, RNG and counters — for interval checkpointing
-// (DESIGN.md §17). A cache restored from a State replays the exact hit,
-// victim and counter sequence the snapshotted cache would have produced.
-type State struct {
-	tags  []uint32
-	age   []uint32
-	rrPtr []uint8
-	clock uint32
-	rng   uint32
-	stats Stats
-}
-
-// SaveState captures the cache's mutable state, reusing s's buffers when
-// they fit so steady-state checkpointing allocates nothing.
-func (c *Cache) SaveState(s *State) {
-	s.tags = append(s.tags[:0], c.tags...)
-	s.age = append(s.age[:0], c.age...)
-	s.rrPtr = append(s.rrPtr[:0], c.rrPtr...)
-	s.clock = c.clock
-	s.rng = c.rng
-	s.stats = c.stats
-}
-
-// RestoreState restores a snapshot taken from a cache of identical
-// geometry (same configuration — the only way package platform uses it).
-func (c *Cache) RestoreState(s *State) {
-	copy(c.tags, s.tags)
-	copy(c.age, s.age)
-	copy(c.rrPtr, s.rrPtr)
-	c.clock = s.clock
-	c.rng = s.rng
-	c.stats = s.stats
-}

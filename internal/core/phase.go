@@ -119,7 +119,6 @@ func (t *Tuner) observePhases(ctx context.Context, b *progs.Benchmark, cfg confi
 	opts := platform.Options{
 		SampleInstructions:   t.SampleInstructions,
 		IntervalInstructions: interval,
-		IntraRunWorkers:      t.IntraRunWorkers,
 	}
 	rep, err := t.provider().Measure(ctx, prog, cfg, opts)
 	if err != nil {

@@ -18,7 +18,7 @@ type Request struct {
 	// App names the benchmark to tune (progs registry: blastn, drr,
 	// frag, arith, mix).
 	App string
-	// Scale selects the workload size (default Small — the zero value).
+	// Scale selects the workload size (default Tiny — the zero value).
 	Scale workload.Scale
 	// Space is the decision-variable space; nil means the full
 	// 52-variable paper space.

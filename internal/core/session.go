@@ -37,7 +37,6 @@ type Session struct {
 	models       *modelCache
 	store        *ModelStore
 	measureStore *measure.Store
-	autoWorkers  bool
 }
 
 // SessionOptions configures a Session. The zero value is usable: the
@@ -71,11 +70,6 @@ type SessionOptions struct {
 	// then evicts a build's entries as one cohesive unit instead of
 	// breaking warm sets one file at a time.
 	MeasureStore *measure.Store
-	// AutoWorkers picks each request's measurement parallelism split —
-	// concurrent runs × intra-run replay workers — from a one-shot
-	// calibration of the host (measure.AutoPlan). It applies only when
-	// neither the request nor Workers names an explicit value.
-	AutoWorkers bool
 }
 
 // DefaultModelCacheEntries bounds a session's model layer when
@@ -97,7 +91,6 @@ func NewSession(opts SessionOptions) *Session {
 		models:       newModelCache(opts.ModelCacheEntries),
 		store:        opts.ModelStore,
 		measureStore: opts.MeasureStore,
-		autoWorkers:  opts.AutoWorkers,
 	}
 }
 
@@ -148,14 +141,6 @@ func (s *Session) Tune(ctx context.Context, req Request) (*Report, error) {
 		popts = req.Phases.normalized()
 	}
 
-	workers := req.workers(s.workers)
-	intraRun := 0
-	if s.autoWorkers && workers == 0 {
-		// Neither the request nor the session named a split: plan it from
-		// the calibrated host parallelism and this request's sweep width.
-		plan := measure.AutoPlan(1 + space.Len())
-		workers, intraRun = plan.SweepWorkers, plan.IntraRunWorkers
-	}
 	prog := &progressCounter{obs: req.Observer, total: tuneTotal(space, req)}
 	tuner := &Tuner{
 		Space: space,
@@ -163,8 +148,7 @@ func (s *Session) Tune(ctx context.Context, req Request) (*Report, error) {
 		// The per-measurement hook fires on cache and store hits too —
 		// the layers below answered them, the request still consumed them.
 		Provider:           measure.Observed{Inner: s.provider, OnMeasure: prog.step},
-		Workers:            workers,
-		IntraRunWorkers:    intraRun,
+		Workers:            req.workers(s.workers),
 		SolverOptions:      s.solver,
 		SampleInstructions: req.SampleInstructions,
 	}
@@ -592,7 +576,6 @@ func buildPhaseSet(ctx context.Context, t *Tuner, b *progs.Benchmark, opts Phase
 	runOpts := platform.Options{
 		SampleInstructions:   t.SampleInstructions,
 		IntervalInstructions: opts.IntervalInstructions,
-		IntraRunWorkers:      t.IntraRunWorkers,
 	}
 	baseRep, err := t.provider().Measure(ctx, prog, config.Default(), runOpts)
 	if err != nil {

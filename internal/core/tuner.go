@@ -24,16 +24,10 @@ type Tuner struct {
 	// Space is the decision-variable space; nil means the full 52-variable
 	// paper space.
 	Space *config.Space
-	// Scale selects the workload size (default Small).
+	// Scale selects the workload size (default Tiny — the zero value).
 	Scale workload.Scale
 	// Workers bounds the parallel measurement runs (default NumCPU).
 	Workers int
-	// IntraRunWorkers, when nonzero, overrides the process-wide worker
-	// bound for checkpointed parallel interval replay inside each
-	// measurement run (platform.Options.IntraRunWorkers). The session's
-	// auto planner sets it together with Workers so sweep-level and
-	// intra-run parallelism split the host instead of oversubscribing it.
-	IntraRunWorkers int
 	// Provider supplies the measurements; nil means the process-wide
 	// shared bounded cache over the simulator (measure.Default()). A
 	// serving system injects its own stack here so concurrent tuning jobs
@@ -91,10 +85,7 @@ func (t *Tuner) measure(ctx context.Context, b *progs.Benchmark, cfg config.Conf
 	if err != nil {
 		return measurement{}, err
 	}
-	opts := platform.Options{
-		SampleInstructions: t.SampleInstructions,
-		IntraRunWorkers:    t.IntraRunWorkers,
-	}
+	opts := platform.Options{SampleInstructions: t.SampleInstructions}
 	rep, err := t.provider().Measure(ctx, prog, cfg, opts)
 	if err != nil {
 		return measurement{}, err

@@ -12,7 +12,7 @@ import (
 
 // Options configures the experiment harnesses.
 type Options struct {
-	// Scale selects the workload size (default Small; the paper's
+	// Scale selects the workload size (default Tiny — the zero value; the paper's
 	// percentages are scale-stable by design).
 	Scale workload.Scale
 	// Workers bounds parallel measurement runs (default NumCPU).

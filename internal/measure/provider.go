@@ -67,13 +67,6 @@ func (Simulator) Measure(ctx context.Context, prog *asm.Program, cfg config.Conf
 // parameters that cannot change simulated timing (dcache fast read/write,
 // InferMultDiv) are normalised away, so e.g. the base run is shared with
 // the fastread-only perturbation.
-//
-// The execution-tuning knobs (Options.SuperblockThreshold,
-// Options.IntraRunWorkers) are deliberately NOT part of the key: the
-// parity suites prove they cannot change a single reported counter, so a
-// report cached under one tuning is valid under every other. Keying on
-// them would split the cache (and the persistent store shared across a
-// fleet) by a setting that only affects wall-clock speed.
 type Key struct {
 	Prog     *asm.Program
 	Cfg      config.Config

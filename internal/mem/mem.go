@@ -266,58 +266,3 @@ func (w *WriteBuffer) Stores() uint64 { return w.stores }
 
 // Reset clears the buffer state and counters.
 func (w *WriteBuffer) Reset() { w.freeAt, w.stalls, w.stores = 0, 0, 0 }
-
-// MemoryState is a mid-run snapshot of memory relative to the pristine
-// image: the dirty byte range and the console output so far. Restoring
-// onto a memory holding the same pristine image reproduces the exact RAM
-// contents without copying the regions the run never wrote.
-type MemoryState struct {
-	lo      int
-	data    []byte
-	console []byte
-}
-
-// Bytes reports the snapshot's payload size, for checkpoint budgeting.
-func (s *MemoryState) Bytes() int { return len(s.data) + len(s.console) }
-
-// SaveState captures the dirty range and console, reusing s's buffers
-// when they fit. Requires a prior Snapshot (the platform always
-// snapshots right after program load).
-func (m *Memory) SaveState(s *MemoryState) {
-	s.lo = m.wlo
-	if m.whi > m.wlo {
-		s.data = append(s.data[:0], m.data[m.wlo:m.whi]...)
-	} else {
-		s.data = s.data[:0]
-	}
-	s.console = append(s.console[:0], m.console...)
-}
-
-// RestoreState rewinds to the pristine image and replays the snapshot's
-// dirty range and console. The watermarks are re-armed to the restored
-// dirty range so a later RestoreSnapshot still rewinds everything.
-func (m *Memory) RestoreState(s *MemoryState) {
-	m.RestoreSnapshot()
-	if len(s.data) > 0 {
-		copy(m.data[s.lo:], s.data)
-		m.Widen(s.lo, s.lo+len(s.data))
-	}
-	m.console = append(m.console[:0], s.console...)
-}
-
-// WriteBufferState snapshots a write buffer for interval checkpointing.
-type WriteBufferState struct {
-	FreeAt uint64
-	Stalls uint64
-	Stores uint64
-}
-
-// SaveState captures the buffer's state.
-func (w *WriteBuffer) SaveState() WriteBufferState {
-	return WriteBufferState{FreeAt: w.freeAt, Stalls: w.stalls, Stores: w.stores}
-}
-
-// RestoreState restores a snapshot taken by SaveState.
-func (w *WriteBuffer) RestoreState(s WriteBufferState) {
-	w.freeAt, w.stalls, w.stores = s.FreeAt, s.Stalls, s.Stores
-}

@@ -1,58 +1,20 @@
 package platform
 
-import (
-	"sync/atomic"
+import "sync/atomic"
 
-	"liquidarch/internal/cpu"
-)
-
-// Process-wide tuning defaults and diagnostic counters. Options inherit
-// the defaults when their tuning fields are zero, so one SetDefaultTuning
-// call (a CLI flag, a daemon option) retunes every subsequent run without
-// threading knobs through each call site. The counters aggregate
-// superblock and parallel-interval activity across all engines for the
-// daemon's /v1/metrics endpoint; none of them feed any report.
+// Process-wide diagnostic counters: they aggregate superblock and
+// schedule-replay activity across all engines for the daemon's
+// /v1/metrics endpoint; none of them feed any report.
 var (
-	defaultSBThreshold atomic.Int64
-	defaultWorkers     atomic.Int64
-
 	ctrSBCompiled atomic.Uint64
 	ctrSBHits     atomic.Uint64
 	ctrSBDeopts   atomic.Uint64
-	ctrParRuns    atomic.Uint64
-
-	ctrParSegments atomic.Uint64
-	ctrParBusyNs   atomic.Uint64
-	ctrParWallNs   atomic.Uint64
 
 	ctrReplayRuns     atomic.Uint64
 	ctrReplaySwitches atomic.Uint64
 	ctrOnlineRuns     atomic.Uint64
 	ctrOnlineSwitches atomic.Uint64
 )
-
-func init() {
-	defaultSBThreshold.Store(cpu.DefaultSuperblockThreshold)
-	defaultWorkers.Store(1)
-}
-
-// SetDefaultTuning sets the process-wide execution-tuning defaults.
-// superblockThreshold <= 0 disables superblock specialization by default;
-// a positive value compiles hot blocks at that taken-branch heat.
-// intraRunWorkers <= 1 keeps interval-profiled runs serial by default; a
-// larger value lets identical re-runs fan checkpointed interval segments
-// across that many goroutines. Neither knob changes any reported result —
-// only wall-clock speed (DESIGN.md §17).
-func SetDefaultTuning(superblockThreshold, intraRunWorkers int) {
-	if superblockThreshold < 0 {
-		superblockThreshold = 0
-	}
-	defaultSBThreshold.Store(int64(superblockThreshold))
-	if intraRunWorkers < 1 {
-		intraRunWorkers = 1
-	}
-	defaultWorkers.Store(int64(intraRunWorkers))
-}
 
 // TuningCounters is a point-in-time snapshot of the process-wide
 // execution-tuning activity, for the daemon's metrics endpoint.
@@ -63,23 +25,12 @@ type TuningCounters struct {
 	SuperblockCompiled uint64 `json:"superblock_compiled"`
 	SuperblockHits     uint64 `json:"superblock_hits"`
 	SuperblockDeopts   uint64 `json:"superblock_deopts"`
-	// ParallelRuns counts interval-profiled runs that executed as a
-	// checkpointed parallel re-run; ParallelWorkers is the current
-	// process-default worker bound.
-	ParallelRuns    uint64 `json:"parallel_runs"`
-	ParallelWorkers int    `json:"parallel_workers"`
-	// ParallelSegments counts the interval segments those runs fanned
-	// out; ParallelBusyNs sums the segments' replay time and
-	// ParallelWallNs the runs' wall-clock time, so BusyNs/WallNs is the
-	// average worker concurrency the fan-out actually achieved.
-	ParallelSegments uint64 `json:"parallel_segments"`
-	ParallelBusyNs   uint64 `json:"parallel_busy_ns"`
-	ParallelWallNs   uint64 `json:"parallel_wall_ns"`
-	// ParallelConcurrency is ParallelBusyNs/ParallelWallNs — the
-	// effective worker count — and SuperblockHitRatePct is
-	// Hits/(Hits+Deopts) as a percentage: the share of specialized-plan
-	// entries that ran to completion. Both are derived on snapshot.
-	ParallelConcurrency  float64 `json:"parallel_concurrency"`
+	// ParallelRuns is always 0: every interval run is serial. The field
+	// stays so existing readers of the metrics snapshot keep compiling.
+	ParallelRuns uint64 `json:"parallel_runs"`
+	// SuperblockHitRatePct is Hits/(Hits+Deopts) as a percentage: the
+	// share of specialized-plan entries that ran to completion, derived
+	// on snapshot.
 	SuperblockHitRatePct float64 `json:"superblock_hit_rate_pct"`
 	// ReplayRuns and ReplaySwitches count schedule-replay simulations
 	// (ReplaySchedule) and the mid-run reconfigurations they performed;
@@ -98,18 +49,10 @@ func Counters() TuningCounters {
 		SuperblockCompiled: ctrSBCompiled.Load(),
 		SuperblockHits:     ctrSBHits.Load(),
 		SuperblockDeopts:   ctrSBDeopts.Load(),
-		ParallelRuns:       ctrParRuns.Load(),
-		ParallelWorkers:    int(defaultWorkers.Load()),
-		ParallelSegments:   ctrParSegments.Load(),
-		ParallelBusyNs:     ctrParBusyNs.Load(),
-		ParallelWallNs:     ctrParWallNs.Load(),
 		ReplayRuns:         ctrReplayRuns.Load(),
 		ReplaySwitches:     ctrReplaySwitches.Load(),
 		OnlineRuns:         ctrOnlineRuns.Load(),
 		OnlineSwitches:     ctrOnlineSwitches.Load(),
-	}
-	if c.ParallelWallNs > 0 {
-		c.ParallelConcurrency = float64(c.ParallelBusyNs) / float64(c.ParallelWallNs)
 	}
 	if total := c.SuperblockHits + c.SuperblockDeopts; total > 0 {
 		c.SuperblockHitRatePct = 100 * float64(c.SuperblockHits) / float64(total)

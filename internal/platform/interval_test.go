@@ -98,22 +98,42 @@ func TestIntervalsStepEquivalence(t *testing.T) {
 	}
 }
 
-// TestIntervalsDeterministic: two runs produce byte-identical interval
-// slices (serialization included — this is what golden phase traces rest
-// on).
+// TestIntervalsDeterministic: running the same interval-profiled run
+// twice — the second on the warm, pooled engine the first released —
+// produces identical reports, serialization included (this is what
+// golden phase traces rest on). The sampled shape stops mid-program, so
+// the re-run must end on exactly the same interval boundary.
 func TestIntervalsDeterministic(t *testing.T) {
-	a := intervalRun(t, "blastn", platform.Options{IntervalInstructions: 7_500})
-	b := intervalRun(t, "blastn", platform.Options{IntervalInstructions: 7_500})
-	ja, err := json.Marshal(a.Intervals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jb, err := json.Marshal(b.Intervals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(ja) != string(jb) {
-		t.Error("interval profiles are not reproducible")
+	for _, tc := range []struct {
+		name string
+		app  string
+		opts platform.Options
+	}{
+		{"blastn", "blastn", platform.Options{IntervalInstructions: 7_500}},
+		{"arith", "arith", platform.Options{IntervalInstructions: 5_000}},
+		{"sampled", "blastn", platform.Options{IntervalInstructions: 2_000, SampleInstructions: 20_000}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := intervalRun(t, tc.app, tc.opts)
+			b := intervalRun(t, tc.app, tc.opts)
+			if tc.opts.SampleInstructions > 0 && !a.Sampled {
+				t.Fatal("sample limit did not truncate the run; pick a smaller limit")
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("re-run diverged:\nfirst  %+v\nsecond %+v", a, b)
+			}
+			ja, err := json.Marshal(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jb, err := json.Marshal(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(ja) != string(jb) {
+				t.Error("interval-profiled reports are not reproducible")
+			}
+		})
 	}
 }
 

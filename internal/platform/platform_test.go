@@ -7,6 +7,8 @@ import (
 	"liquidarch/internal/asm"
 	"liquidarch/internal/config"
 	"liquidarch/internal/platform"
+	"liquidarch/internal/progs"
+	"liquidarch/internal/workload"
 )
 
 const helloSource = `
@@ -161,5 +163,43 @@ loop:   subcc %g1, 1, %g1
 	}
 	if rep2.Sampled {
 		t.Error("completed run must not report Sampled")
+	}
+}
+
+// TestSuperblocksAlwaysOn: superblock specialization is the simulator's
+// only execution mode, so both the pooled engine path and the
+// schedule-replay cores compile hot blocks. A fresh assembly of blastn
+// gives the program a pool key of its own, so the first run is
+// guaranteed to build (and compile on) a new engine. Not parallel: the
+// counters are process-wide.
+func TestSuperblocksAlwaysOn(t *testing.T) {
+	b, _ := progs.ByName("blastn")
+	src, err := b.Source(workload.Tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := mustAssemble(t, src)
+
+	before := platform.Counters()
+	for i := 0; i < 2; i++ {
+		if _, err := platform.RunWith(prog, config.Default(), platform.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := platform.Counters()
+	if after.SuperblockCompiled <= before.SuperblockCompiled {
+		t.Error("default-options runs compiled no superblocks")
+	}
+	if after.SuperblockHits <= before.SuperblockHits {
+		t.Error("default-options runs never entered a compiled superblock")
+	}
+
+	before = after
+	steps := []platform.ReplayStep{{Config: config.Default(), Intervals: -1}}
+	if _, err := platform.ReplaySchedule(prog, steps, platform.Options{IntervalInstructions: 5_000}); err != nil {
+		t.Fatal(err)
+	}
+	if platform.Counters().SuperblockCompiled <= before.SuperblockCompiled {
+		t.Error("schedule replay compiled no superblocks")
 	}
 }

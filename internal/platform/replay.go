@@ -164,7 +164,7 @@ func ReplayOnline(prog *asm.Program, first config.Config, decide func(i int, iv 
 
 // newReplayCore builds a core for cfg over the already-loaded memory,
 // with signature collection on — the replay counterpart of newEngineOn.
-func newReplayCore(prog *asm.Program, cfg config.Config, opts Options, m *mem.Memory) (*cpu.Core, error) {
+func newReplayCore(prog *asm.Program, cfg config.Config, m *mem.Memory) (*cpu.Core, error) {
 	core, err := cpu.New(cfg, m)
 	if err != nil {
 		return nil, fmt.Errorf("platform: %w", err)
@@ -172,7 +172,7 @@ func newReplayCore(prog *asm.Program, cfg config.Config, opts Options, m *mem.Me
 	if err := core.LoadText(prog.TextBase, prog.TextWords()); err != nil {
 		return nil, fmt.Errorf("platform: %w", err)
 	}
-	core.EnableSuperblocks(opts.SuperblockThreshold)
+	core.EnableSuperblocks(cpu.DefaultSuperblockThreshold)
 	core.EnableBlockVector(SignatureBuckets, signatureShift)
 	return core, nil
 }
@@ -202,7 +202,7 @@ func replayRun(prog *asm.Program, first config.Config, next nextFn, opts Options
 	if err := prog.Load(m); err != nil {
 		return nil, fmt.Errorf("platform: %w", err)
 	}
-	core, err := newReplayCore(prog, first, opts, m)
+	core, err := newReplayCore(prog, first, m)
 	if err != nil {
 		return nil, err
 	}
@@ -290,7 +290,7 @@ func replayRun(prog *asm.Program, first config.Config, next nextFn, opts Options
 		if cfg != curCfg {
 			closeSegment()
 			foldCoreSuperblocks(core)
-			nc, err := newReplayCore(prog, cfg, opts, m)
+			nc, err := newReplayCore(prog, cfg, m)
 			if err != nil {
 				return nil, err
 			}
