@@ -250,12 +250,7 @@ func BenchmarkAssembleBLASTN(b *testing.B) {
 // 52-variable model (the step the paper reports Tomlab solving "in
 // seconds").
 func BenchmarkSolverFullSpace(b *testing.B) {
-	bench, _ := progs.ByName("blastn")
-	tuner := core.NewTuner(workload.Tiny)
-	model, err := tuner.BuildModel(context.Background(), bench)
-	if err != nil {
-		b.Fatal(err)
-	}
+	model := benchModel(b, core.Request{App: "blastn"})
 	problem := model.Formulate(core.RuntimeWeights())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -412,23 +407,33 @@ func BenchmarkFabricDispatch(b *testing.B) {
 
 // ---- Ablation benchmarks (design choices called out in DESIGN.md) ----
 
+// benchModel builds req's perturbation model through a fresh session,
+// skipping validation.
+func benchModel(b *testing.B, req core.Request) *core.Model {
+	b.Helper()
+	req.SkipValidation = true
+	rep, err := core.NewSession(core.SessionOptions{}).Tune(context.Background(), req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rep.Artifacts.Model
+}
+
 // BenchmarkAblationLinearLUT compares the paper's linear-LUT simplification
 // against the nonlinear form on the runtime-weighted recommendation,
 // reporting both predictions' absolute error against actual synthesis.
 func BenchmarkAblationLinearLUT(b *testing.B) {
-	bench, _ := progs.ByName("blastn")
-	tuner := core.NewTuner(benchScale)
-	model, err := tuner.BuildModel(context.Background(), bench)
-	if err != nil {
-		b.Fatal(err)
-	}
+	sess := core.NewSession(core.SessionOptions{})
+	model := benchModel(b, core.Request{App: "blastn", Scale: benchScale})
 	var linErr, nlErr float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec, err := tuner.RecommendFromModel(model, core.RuntimeWeights())
+		// A pre-built model is solved without measuring again.
+		rep, err := sess.Tune(context.Background(), core.Request{App: "blastn", Model: model, SkipValidation: true})
 		if err != nil {
 			b.Fatal(err)
 		}
+		rec := rep.Artifacts.Recommendation
 		actual := fpga.MustSynthesize(rec.Config)
 		linErr = float64(rec.Predicted.LUTPctLinear - actual.LUTPercent())
 		nlErr = float64(rec.Predicted.LUTPctNonlinear - actual.LUTPercent())
@@ -445,20 +450,11 @@ func BenchmarkAblationIndependence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		gap = 0
 		for _, app := range []string{"blastn", "drr", "frag", "arith"} {
-			bench, _ := progs.ByName(app)
-			tuner := core.NewTuner(benchScale)
-			model, err := tuner.BuildModel(context.Background(), bench)
+			rep, err := core.NewSession(core.SessionOptions{}).Tune(context.Background(), core.Request{App: app, Scale: benchScale})
 			if err != nil {
 				b.Fatal(err)
 			}
-			rec, err := tuner.RecommendFromModel(model, core.RuntimeWeights())
-			if err != nil {
-				b.Fatal(err)
-			}
-			val, err := tuner.Validate(context.Background(), bench, model, rec)
-			if err != nil {
-				b.Fatal(err)
-			}
+			rec, val := rep.Artifacts.Recommendation, rep.Artifacts.Validation
 			g := abs(rec.Predicted.RuntimePct - val.RuntimePct)
 			if g > gap {
 				gap = g
@@ -471,12 +467,7 @@ func BenchmarkAblationIndependence(b *testing.B) {
 // BenchmarkAblationSolverBruteForce compares branch-and-bound against
 // exhaustive enumeration on the Section 5 dcache sub-space.
 func BenchmarkAblationSolverBruteForce(b *testing.B) {
-	bench, _ := progs.ByName("blastn")
-	tuner := &core.Tuner{Space: config.DcacheGeometrySpace(), Scale: workload.Tiny}
-	model, err := tuner.BuildModel(context.Background(), bench)
-	if err != nil {
-		b.Fatal(err)
-	}
+	model := benchModel(b, core.Request{App: "blastn", Space: config.DcacheGeometrySpace()})
 	problem := model.Formulate(core.RuntimeOnlyWeights())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

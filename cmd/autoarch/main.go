@@ -198,7 +198,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "autoarch: -phases is incompatible with -model, -save-model and -load-model (phase runs build one model per phase)")
 			return 2
 		}
-		req.IncludeModel = false
 		req.Phases = &core.PhaseOptions{
 			IntervalInstructions: *interval,
 			SwitchPenaltyCycles:  *switchPen,

@@ -48,11 +48,11 @@ func TestJSONGolden(t *testing.T) {
 			golden, stdout.Bytes(), want)
 	}
 
-	// The document must round-trip as a core.TuneReport — the contract
+	// The document must round-trip as a core.Report — the contract
 	// the daemon's clients rely on.
-	var report core.TuneReport
+	var report core.Report
 	if err := json.Unmarshal(stdout.Bytes(), &report); err != nil {
-		t.Fatalf("output is not a TuneReport: %v", err)
+		t.Fatalf("output is not a Report: %v", err)
 	}
 	if report.App != "arith" || report.Scale != "tiny" {
 		t.Errorf("report identifies %s/%s, want arith/tiny", report.App, report.Scale)

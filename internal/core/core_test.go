@@ -13,26 +13,26 @@ import (
 	"liquidarch/internal/workload"
 )
 
-func tinyTuner(space *config.Space) *core.Tuner {
-	return &core.Tuner{Space: space, Scale: workload.Tiny}
+// tune runs req through a fresh session over the process-wide
+// measurement cache.
+func tune(t *testing.T, req core.Request) *core.Report {
+	t.Helper()
+	rep, err := core.NewSession(core.SessionOptions{}).Tune(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
 }
 
-func mustBenchmark(t *testing.T, name string) *progs.Benchmark {
+// tinyModel builds app's perturbation model over space at tiny scale.
+func tinyModel(t *testing.T, space *config.Space, app string) *core.Model {
 	t.Helper()
-	b, ok := progs.ByName(name)
-	if !ok {
-		t.Fatalf("benchmark %s missing", name)
-	}
-	return b
+	return tune(t, core.Request{App: app, Space: space, SkipValidation: true}).Artifacts.Model
 }
 
 func TestBuildModelDcacheSubspace(t *testing.T) {
 	t.Parallel()
-	tuner := tinyTuner(config.DcacheGeometrySpace())
-	m, err := tuner.BuildModel(context.Background(), mustBenchmark(t, "arith"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := tinyModel(t, config.DcacheGeometrySpace(), "arith")
 	if len(m.Entries) != 8 {
 		t.Fatalf("entries = %d, want 8", len(m.Entries))
 	}
@@ -62,11 +62,7 @@ func TestBuildModelDcacheSubspace(t *testing.T) {
 
 func TestBuildModelMeasuresReplacementViaCompanion(t *testing.T) {
 	t.Parallel()
-	tuner := tinyTuner(config.FullSpace())
-	m, err := tuner.BuildModel(context.Background(), mustBenchmark(t, "arith"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := tinyModel(t, config.FullSpace(), "arith")
 	if len(m.Entries) != 52 {
 		t.Fatalf("entries = %d, want 52", len(m.Entries))
 	}
@@ -93,11 +89,7 @@ func TestBuildModelMeasuresReplacementViaCompanion(t *testing.T) {
 
 func TestFormulateObjectiveAndGroups(t *testing.T) {
 	t.Parallel()
-	tuner := tinyTuner(config.DcacheGeometrySpace())
-	m, err := tuner.BuildModel(context.Background(), mustBenchmark(t, "arith"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := tinyModel(t, config.DcacheGeometrySpace(), "arith")
 	w := core.Weights{W1: 100, W2: 1}
 	p := m.Formulate(w)
 	if p.N != 8 {
@@ -125,11 +117,7 @@ func TestFormulateObjectiveAndGroups(t *testing.T) {
 
 func TestFormulateFullSpaceCouplings(t *testing.T) {
 	t.Parallel()
-	tuner := tinyTuner(config.FullSpace())
-	m, err := tuner.BuildModel(context.Background(), mustBenchmark(t, "arith"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := tinyModel(t, config.FullSpace(), "arith")
 	p := m.Formulate(core.RuntimeWeights())
 	var couplings int
 	for _, c := range p.Constraints {
@@ -151,21 +139,13 @@ func TestRecommendationIsValidAndBeatsBase(t *testing.T) {
 		app := app
 		t.Run(app, func(t *testing.T) {
 			t.Parallel()
-			tuner := tinyTuner(config.FullSpace())
-			b := mustBenchmark(t, app)
-			rec, m, err := tuner.Recommend(context.Background(), b, core.RuntimeWeights())
-			if err != nil {
-				t.Fatal(err)
-			}
+			rep := tune(t, core.Request{App: app})
+			rec, m, val := rep.Artifacts.Recommendation, rep.Artifacts.Model, rep.Artifacts.Validation
 			if err := rec.Config.Validate(); err != nil {
 				t.Fatalf("recommended config invalid: %v", err)
 			}
 			if !rec.Proven {
 				t.Error("52-variable instance should be proven optimal")
-			}
-			val, err := tuner.Validate(context.Background(), b, m, rec)
-			if err != nil {
-				t.Fatal(err)
 			}
 			if !val.Resources.FitsDevice() {
 				t.Errorf("recommendation does not fit the device: %v", val.Resources)
@@ -181,16 +161,8 @@ func TestRecommendationIsValidAndBeatsBase(t *testing.T) {
 // dominant the recommendation must not use more chip resources than base.
 func TestResourceWeightingSavesResources(t *testing.T) {
 	t.Parallel()
-	tuner := tinyTuner(config.FullSpace())
-	b := mustBenchmark(t, "arith")
-	rec, m, err := tuner.Recommend(context.Background(), b, core.ResourceWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
-	val, err := tuner.Validate(context.Background(), b, m, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := tune(t, core.Request{App: "arith", Weights: core.ResourceWeights()})
+	m, val := rep.Artifacts.Model, rep.Artifacts.Validation
 	if val.Resources.BRAMPercent() > m.BaseResources.BRAMPercent() {
 		t.Errorf("resource weighting grew BRAM: %d%% > %d%%",
 			val.Resources.BRAMPercent(), m.BaseResources.BRAMPercent())
@@ -213,16 +185,12 @@ func TestSection5NearOptimality(t *testing.T) {
 		app := app
 		t.Run(app, func(t *testing.T) {
 			t.Parallel()
-			b := mustBenchmark(t, app)
-			tuner := tinyTuner(config.DcacheGeometrySpace())
-			rec, m, err := tuner.Recommend(context.Background(), b, core.RuntimeOnlyWeights())
-			if err != nil {
-				t.Fatal(err)
-			}
-			val, err := tuner.Validate(context.Background(), b, m, rec)
-			if err != nil {
-				t.Fatal(err)
-			}
+			b, _ := progs.ByName(app)
+			val := tune(t, core.Request{
+				App:     app,
+				Space:   config.DcacheGeometrySpace(),
+				Weights: core.RuntimeOnlyWeights(),
+			}).Artifacts.Validation
 			results, err := exhaustive.DcacheGeometry(context.Background(), b, workload.Tiny, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -254,11 +222,7 @@ func TestWeightsPresets(t *testing.T) {
 
 func TestPredictLinearVsNonlinear(t *testing.T) {
 	t.Parallel()
-	tuner := tinyTuner(config.DcacheGeometrySpace())
-	m, err := tuner.BuildModel(context.Background(), mustBenchmark(t, "blastn"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := tinyModel(t, config.DcacheGeometrySpace(), "blastn")
 	// Select sets=2 and setsize=16: the nonlinear form must predict more
 	// BRAM than the linear sum (the product counts the second way's 16KB).
 	sel := make([]bool, m.Space.Len())
@@ -276,19 +240,13 @@ func TestPredictLinearVsNonlinear(t *testing.T) {
 
 func TestRecommendFromModelReuse(t *testing.T) {
 	t.Parallel()
-	tuner := tinyTuner(config.DcacheGeometrySpace())
-	m, err := tuner.BuildModel(context.Background(), mustBenchmark(t, "blastn"))
-	if err != nil {
-		t.Fatal(err)
+	m := tinyModel(t, config.DcacheGeometrySpace(), "blastn")
+	// A pre-built model is solved directly, without measuring again.
+	solve := func(w core.Weights) *core.Recommendation {
+		return tune(t, core.Request{App: "blastn", Model: m, Weights: w, SkipValidation: true}).Artifacts.Recommendation
 	}
-	r1, err := tuner.RecommendFromModel(m, core.RuntimeOnlyWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := tuner.RecommendFromModel(m, core.ResourceWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := solve(core.RuntimeOnlyWeights())
+	r2 := solve(core.ResourceWeights())
 	// Different weightings over the same model should generally differ;
 	// at minimum both must decode to valid configurations.
 	if err := r1.Config.Validate(); err != nil {

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -13,11 +12,7 @@ import (
 // estimate and a finite epsilon.
 func TestEnergyDimensionPopulated(t *testing.T) {
 	t.Parallel()
-	tuner := tinyTuner(config.DcacheGeometrySpace())
-	m, err := tuner.BuildModel(context.Background(), mustBenchmark(t, "blastn"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := tinyModel(t, config.DcacheGeometrySpace(), "blastn")
 	if m.BaseEnergy.TotalJ() <= 0 {
 		t.Fatal("base energy missing")
 	}
@@ -35,16 +30,8 @@ func TestEnergyDimensionPopulated(t *testing.T) {
 // validated recommendation must not consume more energy than the base.
 func TestEnergyWeightsReduceEnergy(t *testing.T) {
 	t.Parallel()
-	tuner := tinyTuner(config.FullSpace())
-	b := mustBenchmark(t, "blastn")
-	rec, m, err := tuner.Recommend(context.Background(), b, core.EnergyWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
-	val, err := tuner.Validate(context.Background(), b, m, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := tune(t, core.Request{App: "blastn", Weights: core.EnergyWeights()})
+	m, val := rep.Artifacts.Model, rep.Artifacts.Validation
 	if val.Energy.TotalJ() > m.BaseEnergy.TotalJ() {
 		t.Errorf("energy weighting increased energy: %v vs base %v", val.Energy, m.BaseEnergy)
 	}
@@ -57,11 +44,7 @@ func TestEnergyWeightsReduceEnergy(t *testing.T) {
 // identical to the two-dimensional paper objective.
 func TestZeroW3ReproducesPaperObjective(t *testing.T) {
 	t.Parallel()
-	tuner := tinyTuner(config.DcacheGeometrySpace())
-	m, err := tuner.BuildModel(context.Background(), mustBenchmark(t, "arith"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := tinyModel(t, config.DcacheGeometrySpace(), "arith")
 	p2 := m.Formulate(core.Weights{W1: 100, W2: 1})
 	p3 := m.Formulate(core.Weights{W1: 100, W2: 1, W3: 0})
 	for i := range p2.Cost {
@@ -76,28 +59,18 @@ func TestZeroW3ReproducesPaperObjective(t *testing.T) {
 // workload's steady state.
 func TestSampledModelAgreesWithFull(t *testing.T) {
 	t.Parallel()
-	b := mustBenchmark(t, "blastn")
+	req := core.Request{
+		App:            "blastn",
+		Space:          config.DcacheGeometrySpace(),
+		Weights:        core.RuntimeOnlyWeights(),
+		SkipValidation: true,
+	}
+	full := tune(t, req).Artifacts
+	fm, fullRec := full.Model, full.Recommendation
 
-	full := tinyTuner(config.DcacheGeometrySpace())
-	fm, err := full.BuildModel(context.Background(), b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullRec, err := full.RecommendFromModel(fm, core.RuntimeOnlyWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sampled := tinyTuner(config.DcacheGeometrySpace())
-	sampled.SampleInstructions = 100_000 // roughly half the tiny run
-	sm, err := sampled.BuildModel(context.Background(), b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampledRec, err := sampled.RecommendFromModel(sm, core.RuntimeOnlyWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
+	req.SampleInstructions = 100_000 // roughly half the tiny run
+	sampled := tune(t, req).Artifacts
+	sm, sampledRec := sampled.Model, sampled.Recommendation
 
 	if sampledRec.Config != fullRec.Config {
 		t.Errorf("sampled recommendation %v != full %v",
@@ -116,18 +89,13 @@ func TestSampledModelAgreesWithFull(t *testing.T) {
 // in total (observable through lower measured base cycles).
 func TestSamplingIsCheaper(t *testing.T) {
 	t.Parallel()
-	b := mustBenchmark(t, "drr")
-	full := tinyTuner(config.DcacheGeometrySpace())
-	fm, err := full.BuildModel(context.Background(), b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampled := tinyTuner(config.DcacheGeometrySpace())
-	sampled.SampleInstructions = 20_000
-	sm, err := sampled.BuildModel(context.Background(), b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fm := tinyModel(t, config.DcacheGeometrySpace(), "drr")
+	sm := tune(t, core.Request{
+		App:                "drr",
+		Space:              config.DcacheGeometrySpace(),
+		SampleInstructions: 20_000,
+		SkipValidation:     true,
+	}).Artifacts.Model
 	if sm.BaseCycles >= fm.BaseCycles {
 		t.Errorf("sampled base run (%d cycles) should be shorter than full (%d)",
 			sm.BaseCycles, fm.BaseCycles)

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,11 +11,7 @@ import (
 
 func TestModelSaveLoadRoundTrip(t *testing.T) {
 	t.Parallel()
-	tuner := tinyTuner(config.FullSpace())
-	m, err := tuner.BuildModel(context.Background(), mustBenchmark(t, "arith"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := tinyModel(t, config.FullSpace(), "arith")
 
 	path := filepath.Join(t.TempDir(), "arith.model.json")
 	if err := core.SaveModel(m, path); err != nil {
@@ -53,11 +48,7 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 // must match the original exactly.
 func TestLoadedModelSolvesIdentically(t *testing.T) {
 	t.Parallel()
-	tuner := tinyTuner(config.FullSpace())
-	m, err := tuner.BuildModel(context.Background(), mustBenchmark(t, "blastn"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := tinyModel(t, config.FullSpace(), "blastn")
 	path := filepath.Join(t.TempDir(), "blastn.model.json")
 	if err := core.SaveModel(m, path); err != nil {
 		t.Fatal(err)
@@ -67,14 +58,10 @@ func TestLoadedModelSolvesIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []core.Weights{core.RuntimeWeights(), core.ResourceWeights(), core.EnergyWeights()} {
-		r1, err := tuner.RecommendFromModel(m, w)
-		if err != nil {
-			t.Fatal(err)
+		solve := func(model *core.Model) *core.Recommendation {
+			return tune(t, core.Request{App: "blastn", Model: model, Weights: w, SkipValidation: true}).Artifacts.Recommendation
 		}
-		r2, err := tuner.RecommendFromModel(loaded, w)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r1, r2 := solve(m), solve(loaded)
 		if r1.Config != r2.Config {
 			t.Errorf("weights %+v: loaded model recommends %v, original %v",
 				w, r2.Config.DiffBase(), r1.Config.DiffBase())
@@ -84,11 +71,7 @@ func TestLoadedModelSolvesIdentically(t *testing.T) {
 
 func TestSubspaceModelRoundTrips(t *testing.T) {
 	t.Parallel()
-	tuner := tinyTuner(config.DcacheGeometrySpace())
-	m, err := tuner.BuildModel(context.Background(), mustBenchmark(t, "arith"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := tinyModel(t, config.DcacheGeometrySpace(), "arith")
 	path := filepath.Join(t.TempDir(), "sub.model.json")
 	if err := core.SaveModel(m, path); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -10,7 +11,6 @@ import (
 	"liquidarch/internal/config"
 	"liquidarch/internal/measure"
 	"liquidarch/internal/platform"
-	"liquidarch/internal/progs"
 	"liquidarch/internal/workload"
 )
 
@@ -31,11 +31,9 @@ func (c *countingProvider) Measure(ctx context.Context, prog *asm.Program, cfg c
 // whole-program base, the schedule covers every segment, and the
 // decision arithmetic matches its inputs.
 func TestTunePhasesReport(t *testing.T) {
-	b, _ := progs.ByName("blastn")
 	counter := &countingProvider{inner: measure.NewCache(measure.Simulator{}, 512)}
-	tuner := &Tuner{Space: config.FullSpace(), Scale: workload.Tiny, Provider: counter}
 	opts := PhaseOptions{IntervalInstructions: 20_000, SwitchPenaltyCycles: 10_000}
-	rep, err := tuner.TunePhases(context.Background(), b, RuntimeWeights(), opts)
+	rep, err := NewSession(SessionOptions{Provider: counter}).Tune(context.Background(), Request{App: "blastn", Phases: &opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,35 +110,59 @@ func TestTunePhasesReport(t *testing.T) {
 }
 
 // TestTunePhasesWholeProgramMatchesPlainTuning: interval profiling must
-// not perturb the simulation, so the phase run's whole-program
-// recommendation equals the ordinary Recommend flow's.
+// not perturb the simulation, so the phase run's whole-program model and
+// recommendation equal a plain run's — the one model builder must give
+// the same entries whether or not it resolves phases.
 func TestTunePhasesWholeProgramMatchesPlainTuning(t *testing.T) {
-	b, _ := progs.ByName("arith")
-	tuner := NewTuner(workload.Tiny)
-	w := RuntimeWeights()
-	rep, err := tuner.TunePhases(context.Background(), b, w, PhaseOptions{IntervalInstructions: 10_000})
-	if err != nil {
-		t.Fatal(err)
+	for _, app := range []string{"arith", "blastn"} {
+		t.Run(app, func(t *testing.T) {
+			sess := NewSession(SessionOptions{})
+			phased, err := sess.Tune(context.Background(), Request{App: app, Phases: &PhaseOptions{IntervalInstructions: 10_000}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := sess.Tune(context.Background(), Request{App: app, SkipValidation: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := json.Marshal(phased.Recommendation)
+			want, _ := json.Marshal(plain.Recommendation)
+			if string(got) != string(want) {
+				t.Errorf("whole-program recommendation diverged:\n%s\nvs plain tuning:\n%s", got, want)
+			}
+
+			pm, wm := phased.Artifacts.Model, plain.Artifacts.Model
+			if pm.BaseCycles != wm.BaseCycles || pm.BaseResources != wm.BaseResources || pm.BaseEnergy != wm.BaseEnergy {
+				t.Errorf("whole-program base diverged: %d cycles, %v, %v vs plain %d cycles, %v, %v",
+					pm.BaseCycles, pm.BaseResources, pm.BaseEnergy, wm.BaseCycles, wm.BaseResources, wm.BaseEnergy)
+			}
+			if !reflect.DeepEqual(comparableEntries(pm.Entries), comparableEntries(wm.Entries)) {
+				t.Error("whole-program model entries diverged from plain tuning")
+			}
+		})
 	}
-	plainRec, _, err := tuner.Recommend(context.Background(), b, w)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// comparableEntries replaces each entry's variable (whose apply func
+// defeats reflect.DeepEqual) by its name.
+func comparableEntries(entries []Entry) map[string]Entry {
+	out := make(map[string]Entry, len(entries))
+	for _, e := range entries {
+		name := e.Var.Name
+		e.Var = config.Var{}
+		out[name] = e
 	}
-	plain := recommendationReport(plainRec)
-	got, _ := json.Marshal(rep.Recommendation)
-	want, _ := json.Marshal(plain)
-	if string(got) != string(want) {
-		t.Errorf("whole-program recommendation diverged:\n%s\nvs plain tuning:\n%s", got, want)
-	}
+	return out
 }
 
 // TestTunePhasesDeterministic: the full report — trace, per-phase
 // solves, schedule — is byte-reproducible.
 func TestTunePhasesDeterministic(t *testing.T) {
-	b, _ := progs.ByName("blastn")
 	run := func() []byte {
-		tuner := NewTuner(workload.Tiny)
-		rep, err := tuner.TunePhases(context.Background(), b, RuntimeWeights(), PhaseOptions{IntervalInstructions: 20_000})
+		rep, err := NewSession(SessionOptions{}).Tune(context.Background(), Request{
+			App:    "blastn",
+			Phases: &PhaseOptions{IntervalInstructions: 20_000},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,9 +186,11 @@ func TestMixPerPhaseWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	b, _ := progs.ByName("mix")
-	tuner := NewTuner(workload.Small)
-	rep, err := tuner.TunePhases(context.Background(), b, RuntimeWeights(), PhaseOptions{IntervalInstructions: 100_000})
+	rep, err := NewSession(SessionOptions{}).Tune(context.Background(), Request{
+		App:    "mix",
+		Scale:  workload.Small,
+		Phases: &PhaseOptions{IntervalInstructions: 100_000},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +210,9 @@ func TestMixPerPhaseWins(t *testing.T) {
 // TestTunePhasesCancellation: a cancelled context aborts the build with
 // the context's error.
 func TestTunePhasesCancellation(t *testing.T) {
-	b, _ := progs.ByName("blastn")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	tuner := NewTuner(workload.Tiny)
-	if _, err := tuner.TunePhases(ctx, b, RuntimeWeights(), PhaseOptions{}); err == nil {
-		t.Fatal("cancelled TunePhases should fail")
+	if _, err := NewSession(SessionOptions{}).Tune(ctx, Request{App: "blastn", Phases: &PhaseOptions{}}); err == nil {
+		t.Fatal("cancelled phase tune should fail")
 	}
 }

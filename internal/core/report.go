@@ -17,8 +17,7 @@ import (
 // and the optional validation and model blocks. A phase-aware run adds
 // the "phases" block — trace, per-phase recommendations and the
 // reconfiguration-schedule decision — and omits validation (phase runs
-// compare modeled schedules, they do not re-validate). For plain runs
-// the bytes are exactly the pre-unification TuneReport document.
+// compare modeled schedules, they do not re-validate).
 type Report struct {
 	// App and Scale identify the workload.
 	App   string `json:"app"`
@@ -249,48 +248,6 @@ type OnlineBlock struct {
 	// bound (the run then keeps its current configuration).
 	Divergences  int `json:"divergences"`
 	Unclassified int `json:"unclassified"`
-}
-
-// TuneReport is the pre-unification name of the plain-run document.
-//
-// Deprecated: use Report. The serialization is unchanged.
-type TuneReport = Report
-
-// PhaseReport is the pre-unification name of the phase-run document;
-// the phase data now lives under Report.Phases.
-//
-// Deprecated: use Report.
-type PhaseReport = Report
-
-// NewTuneReport assembles the shared document from a tuning run's pieces.
-// val may be nil (validation skipped); includeModel controls whether the
-// full perturbation model is embedded.
-//
-// Deprecated: Session.Tune returns the assembled *Report directly.
-func NewTuneReport(m *Model, rec *Recommendation, val *Validation, includeModel bool) *TuneReport {
-	r := &Report{
-		App:            m.App,
-		Scale:          m.Scale.String(),
-		SpaceVars:      m.Space.Len(),
-		Weights:        rec.Weights,
-		Base:           baseCostPoint(m.BaseCycles, m.BaseResources),
-		Recommendation: recommendationReport(rec),
-		Artifacts:      &Artifacts{Model: m, Recommendation: rec, Validation: val},
-	}
-	if val != nil {
-		r.Validation = &CostPoint{
-			Cycles:     val.Cycles,
-			Seconds:    float64(val.Cycles) / 25e6,
-			LUTPct:     val.Resources.LUTPercent(),
-			BRAMPct:    val.Resources.BRAMPercent(),
-			RuntimePct: val.RuntimePct,
-			EnergyPct:  val.EnergyPct,
-		}
-	}
-	if includeModel {
-		r.Model = m
-	}
-	return r
 }
 
 // baseCostPoint renders a base measurement as a report cost point.

@@ -37,7 +37,7 @@ type Request struct {
 
 	// IncludeModel embeds the full perturbation model in the report's
 	// wire document (the in-memory model is always available through
-	// Report.Artifacts).
+	// Report.Artifacts). Incompatible with Phases.
 	IncludeModel bool
 	// SkipValidation skips the "actual synthesis" run of the
 	// recommendation; Report.Validation is then nil. Phase-aware runs
@@ -106,6 +106,9 @@ func (r Request) resolve() (*progs.Benchmark, *config.Space, Weights, error) {
 	}
 	if space == nil {
 		space = config.FullSpace()
+	}
+	if r.IncludeModel && r.Phases != nil {
+		return nil, nil, Weights{}, fmt.Errorf("core: a phase-aware report cannot embed the model (phase runs build one model per phase)")
 	}
 	if (r.Replay || r.Online) && r.Phases == nil {
 		return nil, nil, Weights{}, fmt.Errorf("core: replay and online modes require phase-aware tuning (set Phases)")

@@ -14,7 +14,6 @@ import (
 	"liquidarch/internal/measure"
 	"liquidarch/internal/obs"
 	"liquidarch/internal/phase"
-	"liquidarch/internal/platform"
 	"liquidarch/internal/progs"
 	"liquidarch/internal/workload"
 )
@@ -142,15 +141,18 @@ func (s *Session) Tune(ctx context.Context, req Request) (*Report, error) {
 	}
 
 	prog := &progressCounter{obs: req.Observer, total: tuneTotal(space, req)}
-	tuner := &Tuner{
-		Space: space,
-		Scale: req.Scale,
+	t := &tuner{
+		space: space,
+		scale: req.Scale,
 		// The per-measurement hook fires on cache and store hits too —
 		// the layers below answered them, the request still consumed them.
-		Provider:           measure.Observed{Inner: s.provider, OnMeasure: prog.step},
-		Workers:            req.workers(s.workers),
-		SolverOptions:      s.solver,
-		SampleInstructions: req.SampleInstructions,
+		provider: measure.Observed{Inner: s.provider, OnMeasure: prog.step},
+		workers:  req.workers(s.workers),
+		sample:   req.SampleInstructions,
+	}
+	if phased {
+		t.interval = popts.IntervalInstructions
+		t.threshold = popts.threshold()
 	}
 
 	// The "model" stage span covers obtaining the model set however it
@@ -169,14 +171,12 @@ func (s *Session) Tune(ctx context.Context, req Request) (*Report, error) {
 			return nil, err
 		}
 		key := modelKey{
-			prog:   measure.Fingerprint(program),
-			space:  space.Fingerprint(),
-			scale:  req.Scale,
-			sample: req.SampleInstructions,
-		}
-		if phased {
-			key.interval = popts.IntervalInstructions
-			key.threshold = popts.threshold()
+			prog:      measure.Fingerprint(program),
+			space:     space.Fingerprint(),
+			scale:     req.Scale,
+			sample:    req.SampleInstructions,
+			interval:  t.interval,
+			threshold: t.threshold,
 		}
 		var shared bool
 		var fromDisk atomic.Bool
@@ -190,28 +190,18 @@ func (s *Session) Tune(ctx context.Context, req Request) (*Report, error) {
 					return ds, false, nil
 				}
 			}
-			bt := *tuner
+			bt := *t
 			var rec *measure.KeyRecorder
 			if s.store != nil && s.measureStore != nil {
 				// Record the measurement keys the build consumes (cache
 				// hits included) so the spill can name its cohesive set.
 				// Validation runs happen outside this closure and stay out.
-				rec = measure.NewKeyRecorder(bt.Provider)
-				bt.Provider = rec
+				rec = measure.NewKeyRecorder(bt.provider)
+				bt.provider = rec
 			}
-			var built *modelSet
-			if phased {
-				ps, perr := buildPhaseSet(mctx, &bt, b, popts)
-				if perr != nil {
-					return nil, false, perr
-				}
-				built = ps
-			} else {
-				m, merr := bt.BuildModel(mctx, b)
-				if merr != nil {
-					return nil, false, merr
-				}
-				built = &modelSet{models: []*Model{m}, baseRes: m.BaseResources}
+			built, err := bt.buildSet(mctx, b)
+			if err != nil {
+				return nil, false, err
 			}
 			if s.store != nil {
 				// Spill best-effort: a full disk must not fail the tune.
@@ -252,7 +242,7 @@ func (s *Session) Tune(ctx context.Context, req Request) (*Report, error) {
 	if phased {
 		_, solveSpan := obs.Start(ctx, "solve")
 		solveSpan.Set(obs.Int("solves", int64(len(set.models))))
-		rep, err := phaseReport(set, b, w, popts, tuner)
+		rep, err := phaseReport(set, b, w, popts, s.solver)
 		solveSpan.End()
 		if err != nil {
 			return nil, err
@@ -282,7 +272,7 @@ func (s *Session) Tune(ctx context.Context, req Request) (*Report, error) {
 
 	model := set.models[0]
 	_, solveSpan := obs.Start(ctx, "solve")
-	rec, err := tuner.RecommendFromModel(model, w)
+	rec, err := recommend(model, w, s.solver)
 	if solveSpan != nil {
 		if err == nil {
 			solveSpan.Set(obs.Int("nodes", int64(rec.SolverNodes)), obs.Bool("proven", rec.Proven))
@@ -295,13 +285,13 @@ func (s *Session) Tune(ctx context.Context, req Request) (*Report, error) {
 	var val *Validation
 	if !req.SkipValidation {
 		vctx, valSpan := obs.Start(ctx, "validate")
-		val, err = tuner.Validate(vctx, b, model, rec)
+		val, err = t.validate(vctx, b, model, rec)
 		valSpan.End()
 		if err != nil {
 			return nil, err
 		}
 	}
-	return NewTuneReport(model, rec, val, req.IncludeModel), nil
+	return plainReport(model, rec, val, req.IncludeModel), nil
 }
 
 // TuneBatch runs a batch of requests through the session sequentially
@@ -558,52 +548,45 @@ func (c *modelCache) getOnce(ctx context.Context, key modelKey, build func() (*m
 	return ent, false, nil, false
 }
 
-// buildPhaseSet performs the measurement half of a phase-aware run:
-// profile the base run in intervals, detect phases, and build the
-// whole-program model plus one model per phase from one
-// interval-profiled run per configuration. The result is
-// weight-independent, which is what makes it cacheable in the shared
-// model layer.
-func buildPhaseSet(ctx context.Context, t *Tuner, b *progs.Benchmark, opts PhaseOptions) (*modelSet, error) {
-	prog, err := b.Assemble(t.Scale)
-	if err != nil {
-		return nil, err
+// plainReport assembles a plain run's document from its pieces. val
+// may be nil (validation skipped); includeModel controls whether the
+// full perturbation model is embedded.
+func plainReport(m *Model, rec *Recommendation, val *Validation, includeModel bool) *Report {
+	r := &Report{
+		App:            m.App,
+		Scale:          m.Scale.String(),
+		SpaceVars:      m.Space.Len(),
+		Weights:        rec.Weights,
+		Base:           baseCostPoint(m.BaseCycles, m.BaseResources),
+		Recommendation: recommendationReport(rec),
+		Artifacts:      &Artifacts{Model: m, Recommendation: rec, Validation: val},
 	}
-	baseRes, err := fpga.Synthesize(config.Default())
-	if err != nil {
-		return nil, err
+	if val != nil {
+		r.Validation = &CostPoint{
+			Cycles:     val.Cycles,
+			Seconds:    float64(val.Cycles) / 25e6,
+			LUTPct:     val.Resources.LUTPercent(),
+			BRAMPct:    val.Resources.BRAMPercent(),
+			RuntimePct: val.RuntimePct,
+			EnergyPct:  val.EnergyPct,
+		}
 	}
-	runOpts := platform.Options{
-		SampleInstructions:   t.SampleInstructions,
-		IntervalInstructions: opts.IntervalInstructions,
+	if includeModel {
+		r.Model = m
 	}
-	baseRep, err := t.provider().Measure(ctx, prog, config.Default(), runOpts)
-	if err != nil {
-		return nil, fmt.Errorf("core: base measurement: %w", err)
-	}
-	if !baseRep.Sampled && baseRep.ExitCode != 0 {
-		return nil, fmt.Errorf("core: %s exited with code %d", b.Name, baseRep.ExitCode)
-	}
-	_, detectSpan := obs.Start(ctx, "phase.detect")
-	trace := phase.Detect(baseRep.Intervals, opts.IntervalInstructions, phase.Options{Threshold: opts.Threshold})
-	if detectSpan != nil {
-		detectSpan.Set(
-			obs.Int("phases", int64(trace.Phases)),
-			obs.Int("segments", int64(len(trace.Segments))))
-		detectSpan.End()
-	}
-	base := resolveObservation(baseRep, baseRes, trace)
+	return r
+}
 
-	models, err := t.buildPhaseModels(ctx, b, opts.IntervalInstructions, trace, base)
-	if err != nil {
-		return nil, err
+// recommendationReport serializes a Recommendation.
+func recommendationReport(rec *Recommendation) RecommendationReport {
+	return RecommendationReport{
+		Changes:     append([]string{}, rec.Changes...),
+		Config:      rec.Config.String(),
+		Predicted:   rec.Predicted,
+		Objective:   rec.Objective,
+		SolverNodes: rec.SolverNodes,
+		Proven:      rec.Proven,
 	}
-	return &modelSet{
-		models:       models,
-		baseRes:      baseRes,
-		trace:        trace,
-		baseProfiles: trace.Profiles(baseRep.Intervals),
-	}, nil
 }
 
 // phaseReport performs the decision half of a phase-aware run: solve
@@ -611,10 +594,10 @@ func buildPhaseSet(ctx context.Context, t *Tuner, b *progs.Benchmark, opts Phase
 // weights, lay the per-phase schedule over the trace — charging each
 // transition for the configuration parameters it actually changes — and
 // weigh it against the whole-program recommendation.
-func phaseReport(set *modelSet, b *progs.Benchmark, w Weights, opts PhaseOptions, tuner *Tuner) (*Report, error) {
+func phaseReport(set *modelSet, b *progs.Benchmark, w Weights, opts PhaseOptions, solver binlp.Options) (*Report, error) {
 	trace := set.trace
 	space := set.models[0].Space
-	wholeRec, err := tuner.RecommendFromModel(set.models[0], w)
+	wholeRec, err := recommend(set.models[0], w, solver)
 	if err != nil {
 		return nil, err
 	}
@@ -627,7 +610,7 @@ func phaseReport(set *modelSet, b *progs.Benchmark, w Weights, opts PhaseOptions
 	recs := make([]*Recommendation, trace.Phases)
 	var perPhase float64
 	for p := 0; p < trace.Phases; p++ {
-		rec, err := tuner.RecommendFromModel(set.models[1+p], w)
+		rec, err := recommend(set.models[1+p], w, solver)
 		if err != nil {
 			return nil, fmt.Errorf("core: solving phase %d: %w", p, err)
 		}

@@ -12,7 +12,6 @@ import (
 	"liquidarch/internal/core"
 	"liquidarch/internal/measure"
 	"liquidarch/internal/platform"
-	"liquidarch/internal/progs"
 	"liquidarch/internal/workload"
 )
 
@@ -214,18 +213,31 @@ func TestSessionRequestValidation(t *testing.T) {
 	}); err == nil || !strings.Contains(err.Error(), "phase") {
 		t.Errorf("model+phases error = %v", err)
 	}
+	if _, err := sess.Tune(context.Background(), core.Request{
+		App:          "arith",
+		IncludeModel: true,
+		Phases:       &core.PhaseOptions{},
+	}); err == nil || !strings.Contains(err.Error(), "cannot embed the model") {
+		t.Errorf("include-model+phases error = %v", err)
+	}
 }
 
 // TestSessionPrebuiltModel: a request carrying a loaded model skips
 // measuring and solves it directly (the CLI's -load-model path).
 func TestSessionPrebuiltModel(t *testing.T) {
 	sess, sim := newCountedSession(t)
-	b, _ := progs.ByName("arith")
-	tuner := &core.Tuner{Space: config.DcacheGeometrySpace(), Scale: workload.Tiny, Provider: sess.Provider()}
-	model, err := tuner.BuildModel(context.Background(), b)
+	// Build the model in a sibling session over the same provider, so
+	// this session's model layer stays untouched.
+	built, err := core.NewSession(core.SessionOptions{Provider: sess.Provider()}).Tune(context.Background(), core.Request{
+		App:            "arith",
+		Scale:          workload.Tiny,
+		Space:          config.DcacheGeometrySpace(),
+		SkipValidation: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	model := built.Artifacts.Model
 	sims := sim.calls.Load()
 
 	rep, err := sess.Tune(context.Background(), core.Request{

@@ -8,96 +8,87 @@ import (
 	"liquidarch/internal/config"
 	"liquidarch/internal/fpga"
 	"liquidarch/internal/measure"
+	"liquidarch/internal/obs"
+	"liquidarch/internal/phase"
 	"liquidarch/internal/platform"
 	"liquidarch/internal/power"
 	"liquidarch/internal/progs"
 	"liquidarch/internal/workload"
 )
 
-// Tuner is the measurement-and-solve engine behind the unified
-// pipeline: BuildModel, RecommendFromModel and Validate are the
-// building blocks Session.Tune composes. Constructing a Tuner directly
-// still works, but new code should describe the run as a core.Request
-// and call Session.Tune — requests then share the session's model
-// layer and progress surface.
-type Tuner struct {
-	// Space is the decision-variable space; nil means the full 52-variable
-	// paper space.
-	Space *config.Space
-	// Scale selects the workload size (default Tiny — the zero value).
-	Scale workload.Scale
-	// Workers bounds the parallel measurement runs (default NumCPU).
-	Workers int
-	// Provider supplies the measurements; nil means the process-wide
-	// shared bounded cache over the simulator (measure.Default()). A
-	// serving system injects its own stack here so concurrent tuning jobs
-	// share one cache.
-	Provider measure.Provider
-	// SolverOptions tunes the BINLP solver.
-	SolverOptions binlp.Options
-	// SampleInstructions, when nonzero, truncates every measurement run
-	// after that many instructions (the paper's future-work "runtime
-	// sampling" for long applications). Because the instruction stream is
-	// configuration-independent, equal-length prefixes stay directly
-	// comparable; accuracy is limited only by phase behaviour beyond the
-	// sample.
-	SampleInstructions uint64
+// tuner is the measurement machinery behind Session.Tune: one request's
+// space, scale, run options and measurement fan-out. A plain run is the
+// phase-aware build with a zero interval — the base run then detects no
+// phases and every observation resolves to the whole program alone.
+type tuner struct {
+	space    *config.Space
+	scale    workload.Scale
+	provider measure.Provider
+	workers  int
+	// sample truncates every measurement run after that many
+	// instructions (0 = run to completion). Because the instruction
+	// stream is configuration-independent, equal-length prefixes stay
+	// directly comparable.
+	sample uint64
+	// interval is the phase-profiling interval length (0 for plain
+	// runs) and threshold the phase-detection threshold.
+	interval  uint64
+	threshold float64
 }
 
-// NewTuner returns a tuner over the full paper space at the given scale.
-func NewTuner(scale workload.Scale) *Tuner {
-	return &Tuner{Space: config.FullSpace(), Scale: scale}
-}
-
-func (t *Tuner) space() *config.Space {
-	if t.Space == nil {
-		return config.FullSpace()
-	}
-	return t.Space
-}
-
-func (t *Tuner) provider() measure.Provider {
-	if t.Provider != nil {
-		return t.Provider
-	}
-	return measure.Default()
-}
-
-// measurement is one build-and-run observation.
-type measurement struct {
-	cycles uint64
-	res    fpga.Resources
-	energy power.Estimate
-}
-
-// measure runs the application once on cfg and synthesizes it. The
-// assembled program is memoized per (benchmark, scale) by package progs,
-// and the simulation goes through the tuner's measurement provider (by
-// default the process-wide shared bounded cache), so the ~52 single-change
-// jobs of BuildModel, the figure harnesses and validation all share
-// identical (program, timing-config) runs.
-func (t *Tuner) measure(ctx context.Context, b *progs.Benchmark, cfg config.Config) (measurement, error) {
-	prog, err := b.Assemble(t.Scale)
+// observe builds and runs the application once on cfg: the one
+// measurement path of model builds and validation alike. The assembled
+// program is memoized per (benchmark, scale) by package progs, and the
+// simulation goes through the tuner's provider, so identical (program,
+// timing-config, run-options) runs are shared across requests.
+func (t *tuner) observe(ctx context.Context, b *progs.Benchmark, cfg config.Config) (*platform.RunReport, fpga.Resources, error) {
+	prog, err := b.Assemble(t.scale)
 	if err != nil {
-		return measurement{}, err
+		return nil, fpga.Resources{}, err
 	}
 	res, err := fpga.Synthesize(cfg)
 	if err != nil {
-		return measurement{}, err
+		return nil, fpga.Resources{}, err
 	}
-	opts := platform.Options{SampleInstructions: t.SampleInstructions}
-	rep, err := t.provider().Measure(ctx, prog, cfg, opts)
+	opts := platform.Options{SampleInstructions: t.sample, IntervalInstructions: t.interval}
+	rep, err := t.provider.Measure(ctx, prog, cfg, opts)
 	if err != nil {
-		return measurement{}, err
+		return nil, fpga.Resources{}, err
 	}
 	if !rep.Sampled && rep.ExitCode != 0 {
-		return measurement{}, fmt.Errorf("core: %s exited with code %d", b.Name, rep.ExitCode)
+		return nil, fpga.Resources{}, fmt.Errorf("core: %s exited with code %d", b.Name, rep.ExitCode)
 	}
-	return measurement{
-		cycles: rep.Cycles(),
+	return rep, res, nil
+}
+
+// observation is one configuration's measured cost, resolved per model:
+// index 0 is the whole program, index 1+p is phase p.
+type observation struct {
+	cycles []uint64
+	energy []power.Estimate
+	res    fpga.Resources
+}
+
+// resolveObservation folds one run into per-model costs under trace
+// (nil: the whole program only) — the one place the whole-program/
+// per-phase index convention and the per-phase energy model live.
+func resolveObservation(rep *platform.RunReport, res fpga.Resources, trace *phase.Trace) observation {
+	var profiles []phase.Profile
+	if trace != nil {
+		profiles = trace.Profiles(rep.Intervals)
+	}
+	o := observation{
+		cycles: make([]uint64, 1+len(profiles)),
+		energy: make([]power.Estimate, 1+len(profiles)),
 		res:    res,
-		energy: power.Model(rep.Stats, rep.ICache, rep.DCache, res),
-	}, nil
+	}
+	o.cycles[0] = rep.Cycles()
+	o.energy[0] = power.Model(rep.Stats, rep.ICache, rep.DCache, res)
+	for _, p := range profiles {
+		o.cycles[1+p.Phase] = p.Cycles
+		o.energy[1+p.Phase] = power.Model(p.Stats, p.ICache, p.DCache, res)
+	}
+	return o
 }
 
 // companionFor returns, for a replacement-policy variable that is invalid
@@ -114,138 +105,142 @@ func companionFor(v config.Var) (string, bool) {
 	return "", false
 }
 
-// deferredVar is a variable whose measurement rides on a companion
-// configuration (companionFor) and is attributed against the
-// companion's own measurement.
-type deferredVar struct {
-	index     int
-	companion string
-}
-
-// planSpace partitions a space's variables into the ordinary
-// single-change measurements and the companion-paired deferred ones,
-// validating that every required companion is present. Shared by
-// BuildModel and the per-phase model builder so the pairing rules live
-// in one place.
-func planSpace(space *config.Space) (ordinary []int, deferred []deferredVar, err error) {
-	for i, v := range space.Vars() {
-		if companion, ok := companionFor(v); ok {
-			if _, exists := space.ByName(companion); !exists {
-				return nil, nil, fmt.Errorf("core: variable %s needs companion %s, absent from the space", v.Name, companion)
-			}
-			deferred = append(deferred, deferredVar{index: i, companion: companion})
-			continue
-		}
-		ordinary = append(ordinary, i)
+// companions maps every variable of space to the index of the companion
+// it is measured on top of and attributed against, or -1 for the
+// ordinary variables measured against the base, validating that every
+// required companion is present.
+func companions(space *config.Space) ([]int, error) {
+	vars := space.Vars()
+	index := make(map[string]int, len(vars))
+	for i, v := range vars {
+		index[v.Name] = i
 	}
-	return ordinary, deferred, nil
+	ref := make([]int, len(vars))
+	for i, v := range vars {
+		ref[i] = -1
+		if companion, ok := companionFor(v); ok {
+			c, exists := index[companion]
+			if !exists {
+				return nil, fmt.Errorf("core: variable %s needs companion %s, absent from the space", v.Name, companion)
+			}
+			ref[i] = c
+		}
+	}
+	return ref, nil
 }
 
-// BuildModel performs the paper's Section 3 procedure: measure the base,
-// then every single-change configuration (and, for the replacement-policy
-// variables that LEON forbids on a 1-way cache, the minimal companion
-// pair sets=2 + policy, attributing the difference over the sets=2
-// measurement). Measurements run in parallel on the shared worker pool;
-// results are deterministic. Cancelling ctx aborts the build promptly
-// (between measurement runs) with the context's error.
-func (t *Tuner) BuildModel(ctx context.Context, b *progs.Benchmark) (*Model, error) {
-	space := t.space()
-	baseCfg := config.Default()
-
-	baseMeas, err := t.measure(ctx, b, baseCfg)
+// buildSet performs the paper's Section 3 procedure — the measurement
+// half of every run. It measures the base (interval-profiled for phase
+// runs, whose phases are detected from it), then every single-change
+// configuration once, and assembles the whole-program model plus one
+// model per detected phase over the shared observations. The result is
+// weight-independent, which is what makes it cacheable in the shared
+// model layer. Cancelling ctx aborts the build promptly (between
+// measurement runs) with the context's error.
+func (t *tuner) buildSet(ctx context.Context, b *progs.Benchmark) (*modelSet, error) {
+	baseRep, baseRes, err := t.observe(ctx, b, config.Default())
 	if err != nil {
 		return nil, fmt.Errorf("core: base measurement: %w", err)
 	}
-
-	type job struct {
-		index int
-		cfg   config.Config
-		// ref holds the values the deltas are computed against (base, or
-		// the companion's measurement).
-		ref measurement
+	var trace *phase.Trace
+	if t.interval > 0 {
+		_, detectSpan := obs.Start(ctx, "phase.detect")
+		trace = phase.Detect(baseRep.Intervals, t.interval, phase.Options{Threshold: t.threshold})
+		if detectSpan != nil {
+			detectSpan.Set(
+				obs.Int("phases", int64(trace.Phases)),
+				obs.Int("segments", int64(len(trace.Segments))))
+			detectSpan.End()
+		}
 	}
-
-	vars := space.Vars()
-	entries := make([]Entry, len(vars))
-
-	// Phase 1: ordinary variables (companion-paired ones are deferred).
-	ordinary, deferredVars, err := planSpace(space)
+	models, err := t.buildModels(ctx, b, trace, resolveObservation(baseRep, baseRes, trace))
 	if err != nil {
 		return nil, err
 	}
-	var jobs []job
-	for _, i := range ordinary {
-		jobs = append(jobs, job{index: i, cfg: vars[i].Apply(baseCfg)})
+	set := &modelSet{models: models, baseRes: baseRes, trace: trace}
+	if trace != nil {
+		set.baseProfiles = trace.Profiles(baseRep.Intervals)
+	}
+	return set, nil
+}
+
+// buildModels measures every decision variable once — in parallel on
+// the shared worker pool, with deterministic results — and assembles
+// len(base.cycles) models: models[0] is the whole-program model,
+// models[1+p] phase p's. The replacement-policy variables LEON forbids
+// on a 1-way cache are measured on top of their companion (sets=2 +
+// policy) and attributed against the companion's observation.
+func (t *tuner) buildModels(ctx context.Context, b *progs.Benchmark, trace *phase.Trace, base observation) ([]*Model, error) {
+	vars := t.space.Vars()
+	ref, err := companions(t.space)
+	if err != nil {
+		return nil, err
+	}
+	baseCfg := config.Default()
+	var ordinary, deferred []int
+	for i, c := range ref {
+		if c < 0 {
+			ordinary = append(ordinary, i)
+		} else {
+			deferred = append(deferred, i)
+		}
 	}
 
-	runJobs := func(js []job) error {
-		return measure.ForEach(ctx, len(js), t.Workers, func(i int) error {
-			j := js[i]
-			meas, err := t.measure(ctx, b, j.cfg)
-			if err != nil {
-				return fmt.Errorf("core: measuring %s: %w", vars[j.index].Name, err)
+	observed := make([]observation, len(vars))
+	measureVars := func(indices []int) error {
+		return measure.ForEach(ctx, len(indices), t.workers, func(k int) error {
+			i := indices[k]
+			cfg := baseCfg
+			if ref[i] >= 0 {
+				cfg = vars[ref[i]].Apply(cfg)
 			}
-			e := &entries[j.index]
-			e.Var = vars[j.index]
-			e.Cycles = meas.cycles
-			e.Resources = meas.res
-			e.Energy = meas.energy
-			e.Rho = 100 * (float64(meas.cycles) - float64(j.ref.cycles)) / float64(j.ref.cycles)
-			e.Lambda = meas.res.LUTPercent() - j.ref.res.LUTPercent()
-			e.Beta = meas.res.BRAMPercent() - j.ref.res.BRAMPercent()
-			e.Epsilon = power.DeltaPercent(meas.energy, j.ref.energy)
+			rep, res, err := t.observe(ctx, b, vars[i].Apply(cfg))
+			if err != nil {
+				return fmt.Errorf("core: measuring %s: %w", vars[i].Name, err)
+			}
+			observed[i] = resolveObservation(rep, res, trace)
 			return nil
 		})
 	}
-
-	for i := range jobs {
-		jobs[i].ref = baseMeas
+	// Companions are ordinary variables, so they are measured before the
+	// deferred variables that are attributed against them.
+	if err := measureVars(ordinary); err != nil {
+		return nil, err
 	}
-	if err := runJobs(jobs); err != nil {
+	if err := measureVars(deferred); err != nil {
 		return nil, err
 	}
 
-	// Phase 2: replacement-policy variables measured against their
-	// companion's (already measured) configuration.
-	var phase2 []job
-	for _, d := range deferredVars {
-		v := vars[d.index]
-		compVar, _ := space.ByName(d.companion)
-		var compEntry *Entry
-		for k := range entries {
-			if entries[k].Var.Name == d.companion {
-				compEntry = &entries[k]
-				break
+	models := make([]*Model, len(base.cycles))
+	for m := range models {
+		entries := make([]Entry, len(vars))
+		for i, v := range vars {
+			o, r := observed[i], base
+			if ref[i] >= 0 {
+				r = observed[ref[i]]
+			}
+			entries[i] = Entry{
+				Var:       v,
+				Cycles:    o.cycles[m],
+				Resources: o.res,
+				Rho:       100 * (float64(o.cycles[m]) - float64(r.cycles[m])) / float64(r.cycles[m]),
+				Lambda:    o.res.LUTPercent() - r.res.LUTPercent(),
+				Beta:      o.res.BRAMPercent() - r.res.BRAMPercent(),
+				Energy:    o.energy[m],
+				Epsilon:   power.DeltaPercent(o.energy[m], r.energy[m]),
 			}
 		}
-		if compEntry == nil || compEntry.Cycles == 0 {
-			return nil, fmt.Errorf("core: companion %s not measured", d.companion)
+		models[m] = &Model{
+			App:           b.Name,
+			Scale:         t.scale,
+			Space:         t.space,
+			BaseCycles:    base.cycles[m],
+			BaseResources: base.res,
+			BaseEnergy:    base.energy[m],
+			Entries:       entries,
 		}
-		cfg := compVar.Apply(baseCfg)
-		cfg = v.Apply(cfg)
-		phase2 = append(phase2, job{
-			index: d.index,
-			cfg:   cfg,
-			ref: measurement{
-				cycles: compEntry.Cycles,
-				res:    compEntry.Resources,
-				energy: compEntry.Energy,
-			},
-		})
 	}
-	if err := runJobs(phase2); err != nil {
-		return nil, err
-	}
-
-	return &Model{
-		App:           b.Name,
-		Scale:         t.Scale,
-		Space:         space,
-		BaseCycles:    baseMeas.cycles,
-		BaseResources: baseMeas.res,
-		BaseEnergy:    baseMeas.energy,
-		Entries:       entries,
-	}, nil
+	return models, nil
 }
 
 // Recommendation is the tuner's output for one application and weighting.
@@ -269,27 +264,10 @@ type Recommendation struct {
 	Proven      bool
 }
 
-// Recommend runs the full flow: build the model, formulate, solve, decode.
-//
-// Deprecated: build a Session and call Tune — repeated runs then share
-// one model build through the session's model layer.
-func (t *Tuner) Recommend(ctx context.Context, b *progs.Benchmark, w Weights) (*Recommendation, *Model, error) {
-	model, err := t.BuildModel(ctx, b)
-	if err != nil {
-		return nil, nil, err
-	}
-	rec, err := t.RecommendFromModel(model, w)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rec, model, nil
-}
-
-// RecommendFromModel solves an already-built model under the given
-// weights (models are reused across weightings, as the paper does).
-func (t *Tuner) RecommendFromModel(m *Model, w Weights) (*Recommendation, error) {
-	problem := m.Formulate(w)
-	sol, err := binlp.Solve(problem, t.SolverOptions)
+// recommend solves a built model under the given weights (models are
+// reused across weightings, as the paper does) and decodes the solution.
+func recommend(m *Model, w Weights, opts binlp.Options) (*Recommendation, error) {
+	sol, err := binlp.Solve(m.Formulate(w), opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: solving: %w", err)
 	}
@@ -326,17 +304,18 @@ type Validation struct {
 	EnergyPct  float64 // delta over base, percent
 }
 
-// Validate builds and runs the recommendation for real.
-func (t *Tuner) Validate(ctx context.Context, b *progs.Benchmark, m *Model, rec *Recommendation) (*Validation, error) {
-	meas, err := t.measure(ctx, b, rec.Config)
+// validate builds and runs the recommendation for real.
+func (t *tuner) validate(ctx context.Context, b *progs.Benchmark, m *Model, rec *Recommendation) (*Validation, error) {
+	rep, res, err := t.observe(ctx, b, rec.Config)
 	if err != nil {
 		return nil, fmt.Errorf("core: validating: %w", err)
 	}
+	o := resolveObservation(rep, res, nil)
 	return &Validation{
-		Cycles:     meas.cycles,
-		Resources:  meas.res,
-		Energy:     meas.energy,
-		RuntimePct: 100 * (float64(meas.cycles) - float64(m.BaseCycles)) / float64(m.BaseCycles),
-		EnergyPct:  power.DeltaPercent(meas.energy, m.BaseEnergy),
+		Cycles:     o.cycles[0],
+		Resources:  res,
+		Energy:     o.energy[0],
+		RuntimePct: 100 * (float64(o.cycles[0]) - float64(m.BaseCycles)) / float64(m.BaseCycles),
+		EnergyPct:  power.DeltaPercent(o.energy[0], m.BaseEnergy),
 	}, nil
 }

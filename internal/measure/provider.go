@@ -173,7 +173,7 @@ const DefaultCacheEntries = 4096
 var defaultProvider = NewCache(Simulator{}, DefaultCacheEntries)
 
 // Default returns the process-wide shared provider: a bounded cache over
-// the simulator. Library consumers (core.Tuner, exhaustive.Sweep) fall
+// the simulator. Library consumers (core.Session, exhaustive.Sweep) fall
 // back to it when no explicit provider is configured.
 func Default() *Cache { return defaultProvider }
 

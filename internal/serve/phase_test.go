@@ -10,14 +10,13 @@ import (
 
 	"liquidarch/internal/config"
 	"liquidarch/internal/core"
-	"liquidarch/internal/progs"
 	"liquidarch/internal/serve"
 	"liquidarch/internal/workload"
 )
 
 // TestPhaseJobMatchesCLI is the phase-mode acceptance test: a phase job
-// served over HTTP must produce byte-for-byte the core.PhaseReport the
-// in-process tuner (and therefore `autoarch -phases -json`) produces.
+// served over HTTP must produce byte-for-byte the core.Report the
+// in-process session (and therefore `autoarch -phases -json`) produces.
 func TestPhaseJobMatchesCLI(t *testing.T) {
 	t.Parallel()
 	_, ts := newTestServer(t)
@@ -31,17 +30,20 @@ func TestPhaseJobMatchesCLI(t *testing.T) {
 		t.Fatalf("job state = %s, error = %s", st.State, st.Error)
 	}
 	if st.Result != nil {
-		t.Error("phase job should not carry a plain TuneReport")
+		t.Error("phase job should not carry a plain result")
 	}
 	if st.PhaseResult == nil {
 		t.Fatal("done phase job has no phase result")
 	}
 
 	// The same tuning, in process.
-	b, _ := progs.ByName("blastn")
-	tuner := &core.Tuner{Space: config.DcacheGeometrySpace(), Scale: workload.Tiny}
-	want, err := tuner.TunePhases(context.Background(), b, core.Weights{W1: 100, W2: 1},
-		core.PhaseOptions{IntervalInstructions: 20_000})
+	want, err := core.NewSession(core.SessionOptions{}).Tune(context.Background(), core.Request{
+		App:     "blastn",
+		Scale:   workload.Tiny,
+		Space:   config.DcacheGeometrySpace(),
+		Weights: core.Weights{W1: 100, W2: 1},
+		Phases:  &core.PhaseOptions{IntervalInstructions: 20_000},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

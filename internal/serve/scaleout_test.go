@@ -99,48 +99,59 @@ func cancelJob(t *testing.T, ts *httptest.Server, id string) serve.JobStatus {
 // TestDedupIdenticalJobsShareOneFlight submits the same request twice
 // while the first execution is held open: the second must attach to the
 // first's flight, both must finish with identical results, and the
-// daemon must record exactly one dedup hit.
+// daemon must record exactly one dedup hit. An explicit all-zero
+// weighting is documented as the default, so it is the same request as
+// one omitting the weights.
 func TestDedupIdenticalJobsShareOneFlight(t *testing.T) {
 	t.Parallel()
-	gate := make(chan struct{})
-	s := serve.New(serve.Options{
-		Workers:  1,
-		Provider: measure.NewCache(&gatedProvider{inner: measure.Simulator{}, gate: gate}, 256),
-	})
-	ts := httptest.NewServer(s.Handler())
-	defer func() {
-		ts.Close()
-		s.Close()
-	}()
-
 	req := serve.JobRequest{App: "arith", Scale: "tiny", Space: "dcache"}
-	a := postJob(t, ts, req)
-	b := postJob(t, ts, req)
-	if m := metricsOf(t, ts); m.Scheduler.Deduped != 1 || m.Scheduler.Flights != 1 {
-		t.Fatalf("while gated: deduped %d flights %d, want 1 and 1",
-			m.Scheduler.Deduped, m.Scheduler.Flights)
-	}
-	close(gate)
+	zero := req
+	zero.W1, zero.W2, zero.W3 = fptr(0), fptr(0), fptr(0)
+	for name, second := range map[string]serve.JobRequest{"identical": req, "all-zero-weights": zero} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			gate := make(chan struct{})
+			s := serve.New(serve.Options{
+				Workers:  1,
+				Provider: measure.NewCache(&gatedProvider{inner: measure.Simulator{}, gate: gate}, 256),
+			})
+			ts := httptest.NewServer(s.Handler())
+			defer func() {
+				ts.Close()
+				s.Close()
+			}()
 
-	sa := waitDone(t, ts, a.ID)
-	sb := waitDone(t, ts, b.ID)
-	if sa.State != serve.StateDone || sb.State != serve.StateDone {
-		t.Fatalf("states %s/%s, errors %q/%q", sa.State, sb.State, sa.Error, sb.Error)
-	}
-	if sa.Result.Recommendation.Config != sb.Result.Recommendation.Config {
-		t.Errorf("deduped jobs disagree:\n%s\nvs\n%s",
-			sa.Result.Recommendation.Config, sb.Result.Recommendation.Config)
-	}
-	// One flight means one start instant shared by both passengers.
-	if sa.Started == nil || sb.Started == nil || !sa.Started.Equal(*sb.Started) {
-		t.Errorf("deduped jobs have different start times: %v vs %v", sa.Started, sb.Started)
-	}
-	m := metricsOf(t, ts)
-	if m.Scheduler.Deduped != 1 {
-		t.Errorf("deduped counter = %d, want 1", m.Scheduler.Deduped)
-	}
-	if m.Scheduler.Submitted != 2 {
-		t.Errorf("submitted counter = %d, want 2", m.Scheduler.Submitted)
+			a := postJob(t, ts, req)
+			b := postJob(t, ts, second)
+			if m := metricsOf(t, ts); m.Scheduler.Deduped != 1 || m.Scheduler.Flights != 1 {
+				close(gate)
+				t.Fatalf("while gated: deduped %d flights %d, want 1 and 1",
+					m.Scheduler.Deduped, m.Scheduler.Flights)
+			}
+			close(gate)
+
+			sa := waitDone(t, ts, a.ID)
+			sb := waitDone(t, ts, b.ID)
+			if sa.State != serve.StateDone || sb.State != serve.StateDone {
+				t.Fatalf("states %s/%s, errors %q/%q", sa.State, sb.State, sa.Error, sb.Error)
+			}
+			if sa.Result.Recommendation.Config != sb.Result.Recommendation.Config || sa.Result.Weights != sb.Result.Weights {
+				t.Errorf("deduped jobs disagree:\n%s %+v\nvs\n%s %+v",
+					sa.Result.Recommendation.Config, sa.Result.Weights,
+					sb.Result.Recommendation.Config, sb.Result.Weights)
+			}
+			// One flight means one start instant shared by both passengers.
+			if sa.Started == nil || sb.Started == nil || !sa.Started.Equal(*sb.Started) {
+				t.Errorf("deduped jobs have different start times: %v vs %v", sa.Started, sb.Started)
+			}
+			m := metricsOf(t, ts)
+			if m.Scheduler.Deduped != 1 {
+				t.Errorf("deduped counter = %d, want 1", m.Scheduler.Deduped)
+			}
+			if m.Scheduler.Submitted != 2 {
+				t.Errorf("submitted counter = %d, want 2", m.Scheduler.Submitted)
+			}
+		})
 	}
 }
 

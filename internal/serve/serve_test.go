@@ -14,7 +14,6 @@ import (
 	"liquidarch/internal/config"
 	"liquidarch/internal/core"
 	"liquidarch/internal/measure"
-	"liquidarch/internal/progs"
 	"liquidarch/internal/serve"
 	"liquidarch/internal/workload"
 )
@@ -99,16 +98,17 @@ func TestTuneOverHTTPMatchesCLI(t *testing.T) {
 	}
 
 	// The same tuning, in process.
-	b, _ := progs.ByName("arith")
-	tuner := &core.Tuner{Space: config.DcacheGeometrySpace(), Scale: workload.Tiny}
-	model, err := tuner.BuildModel(context.Background(), b)
+	rep, err := core.NewSession(core.SessionOptions{}).Tune(context.Background(), core.Request{
+		App:            "arith",
+		Scale:          workload.Tiny,
+		Space:          config.DcacheGeometrySpace(),
+		Weights:        core.Weights{W1: w1, W2: w2},
+		SkipValidation: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := tuner.RecommendFromModel(model, core.Weights{W1: w1, W2: w2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	model, rec := rep.Artifacts.Model, rep.Artifacts.Recommendation
 	if got, want := st.Result.Recommendation.Config, rec.Config.String(); got != want {
 		t.Errorf("HTTP-tuned config:\n%s\nCLI-tuned config:\n%s", got, want)
 	}
@@ -247,7 +247,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestBadRequests covers the 4xx paths.
+// TestBadRequests covers the 4xx paths, for single jobs and batch items
+// alike.
 func TestBadRequests(t *testing.T) {
 	t.Parallel()
 	_, ts := newTestServer(t)
@@ -255,15 +256,22 @@ func TestBadRequests(t *testing.T) {
 		{App: "nope"},
 		{App: "arith", Scale: "huge"},
 		{App: "arith", Space: "weird"},
+		// A phase report embeds no model: refused, not silently dropped.
+		{App: "arith", Phases: true, IncludeModel: true},
 	} {
-		body, _ := json.Marshal(tc)
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST %+v: status %d, want 400", tc, resp.StatusCode)
+		for path, v := range map[string]any{
+			"/v1/jobs":  tc,
+			"/v1/batch": serve.BatchRequest{JobRequest: tc},
+		} {
+			body, _ := json.Marshal(v)
+			resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("POST %s %+v: status %d, want 400", path, tc, resp.StatusCode)
+			}
 		}
 	}
 	resp, err := http.Get(ts.URL + "/v1/jobs/job-999")

@@ -175,7 +175,8 @@ type JobRequest struct {
 	SampleInstructions uint64 `json:"sample_instructions,omitempty"`
 	// Workers bounds this job's measurement parallelism (0 = NumCPU).
 	Workers int `json:"workers,omitempty"`
-	// IncludeModel embeds the full perturbation model in the result.
+	// IncludeModel embeds the full perturbation model in the result;
+	// plain jobs only.
 	IncludeModel bool `json:"include_model,omitempty"`
 	// Class is the scheduling class: "interactive" (default) or "bulk".
 	// Interactive flights are always run before bulk ones, and each
@@ -236,9 +237,9 @@ type JobStatus struct {
 	// Result is a plain job's outcome; PhaseResult a phase job's;
 	// Results a batch job's — one report per expanded item, in item
 	// order.
-	Result      *core.TuneReport   `json:"result,omitempty"`
-	PhaseResult *core.PhaseReport  `json:"phase_result,omitempty"`
-	Results     []*core.TuneReport `json:"results,omitempty"`
+	Result      *core.Report   `json:"result,omitempty"`
+	PhaseResult *core.Report   `json:"phase_result,omitempty"`
+	Results     []*core.Report `json:"results,omitempty"`
 	// Progress tracks the running flight's completed measurements.
 	Progress *MeasureProgress `json:"progress,omitempty"`
 	Created  time.Time        `json:"created"`
@@ -485,7 +486,7 @@ func resolve(req JobRequest) (*progs.Benchmark, workload.Scale, *config.Space, c
 	if err != nil {
 		return nil, 0, nil, core.Weights{}, fmt.Errorf("unknown space %q", req.Space)
 	}
-	w := core.Weights{W1: 100, W2: 1}
+	w := core.RuntimeWeights()
 	if req.W1 != nil {
 		w.W1 = *req.W1
 	}
@@ -495,8 +496,16 @@ func resolve(req JobRequest) (*progs.Benchmark, workload.Scale, *config.Space, c
 	if req.W3 != nil {
 		w.W3 = *req.W3
 	}
+	if w == (core.Weights{}) {
+		// The all-zero weighting gets the default here, before dedupKey,
+		// so it coalesces with the request that omits the weights.
+		w = core.RuntimeWeights()
+	}
 	if (req.Replay || req.Online) && !req.Phases {
 		return nil, 0, nil, core.Weights{}, fmt.Errorf("replay and online require phases")
+	}
+	if req.IncludeModel && req.Phases {
+		return nil, 0, nil, core.Weights{}, fmt.Errorf("include_model is incompatible with phases (phase runs build one model per phase)")
 	}
 	if _, err := normalizeClass(req.Class); err != nil {
 		return nil, 0, nil, core.Weights{}, err
@@ -518,7 +527,7 @@ func normalizeClass(c string) (string, error) {
 
 // dedupKey canonicalizes the result-determining fields of a resolved
 // request: two requests with equal keys are guaranteed the same
-// TuneReport (the simulator and solver are deterministic), which is what
+// core.Report (the simulator and solver are deterministic), which is what
 // licenses coalescing them onto one flight. Workers is deliberately
 // excluded — it only tunes the flight's internal parallelism (the first
 // submitter's value wins); everything else participates.
