@@ -295,9 +295,8 @@ func benchmarkSessionTune(b *testing.B, warmStore, warmArtifact bool) {
 			}
 		}
 		sess := core.NewSession(core.SessionOptions{
-			Provider:     measure.NewCache(measure.NewPersistent(measure.Simulator{}, store), 256),
-			ModelStore:   ms,
-			MeasureStore: store,
+			Provider:   measure.NewCache(measure.NewPersistent(measure.Simulator{}, store), 256),
+			ModelStore: ms,
 		})
 		if _, err := sess.Tune(ctx, req); err != nil {
 			b.Fatal(err)

@@ -13,11 +13,12 @@
 // The daemon is deployable as a long-lived, multi-replica service:
 // identical in-flight jobs coalesce onto one execution, terminal jobs
 // are retained only up to -job-retain / -job-ttl, the on-disk store is
-// garbage-collected to -store-max-bytes / -store-max-age, and several
-// replicas may share one -cache-dir (writes are atomic, corrupt entries
-// are read-repaired, a store-version manifest keeps mixed fleets from
-// clobbering each other, and -store-lease dedupes concurrent
-// simulations of one key across replicas with a TTL claim file). With
+// garbage-collected to -store-max-bytes / -store-max-age (one LRU
+// sweep at startup and every 64 spills), and several replicas may share
+// one -cache-dir (writes are atomic, corrupt entries are read-repaired,
+// a store-version manifest keeps mixed fleets from clobbering each
+// other, and -store-lease dedupes concurrent simulations of one key
+// across replicas with a TTL claim file). With
 // -model-dir, completed model sets additionally spill to durable
 // artifacts, so a restarted or sibling replica serves a previously
 // modeled application without a single simulation or model rebuild.
@@ -43,9 +44,8 @@
 //	autoarchd [-addr :8723] [-jobs 2] [-queue 256] [-bulk-queue 256]
 //	          [-cache-entries 4096] [-model-cache 128] [-cache-dir DIR]
 //	          [-model-dir DIR] [-job-retain 1024] [-job-ttl 0]
-//	          [-store-max-bytes 0] [-store-max-age 0] [-store-gc-every 64]
-//	          [-store-lease 0] [-engine-pool N] [-mem-pool N]
-//	          [-pprof] [-slow-job 1m]
+//	          [-store-max-bytes 0] [-store-max-age 0] [-store-lease 0]
+//	          [-engine-pool N] [-mem-pool N] [-pprof] [-slow-job 1m]
 //	autoarchd -fabric [-fabric-timeout 5m] [-fabric-retries 2] ...
 //	autoarchd -worker -coordinator http://head:8723 [-advertise URL]
 //	          [-worker-id ID] [-heartbeat 5s] [-measure-concurrency N] ...
@@ -96,7 +96,6 @@ func main() {
 		jobTTL        = flag.Duration("job-ttl", 0, "drop terminal jobs older than this (0 = no age bound)")
 		storeMaxBytes = flag.Int64("store-max-bytes", 0, "GC the -cache-dir store down to this many bytes (0 = unbounded)")
 		storeMaxAge   = flag.Duration("store-max-age", 0, "GC -cache-dir entries not used within this window (0 = no age bound)")
-		storeGCEvery  = flag.Int("store-gc-every", measure.DefaultGCEvery, "run a store GC sweep every N spills")
 		storeLease    = flag.Duration("store-lease", 0, "cross-replica measurement claim TTL for the shared -cache-dir (0 = off)")
 		enginePool    = flag.Int("engine-pool", 0, "platform engine pool size (0 = default)")
 		memPool       = flag.Int("mem-pool", 0, "platform loaded-memory pool size (0 = default)")
@@ -133,7 +132,7 @@ func main() {
 		persistent := measure.NewPersistent(provider, store)
 		gc := measure.GCPolicy{MaxBytes: *storeMaxBytes, MaxAge: *storeMaxAge}
 		if gc.Enabled() {
-			persistent.EnableGC(gc, *storeGCEvery)
+			persistent.EnableGC(gc)
 		}
 		if *storeLease > 0 {
 			persistent.EnableLease(*storeLease)

@@ -10,7 +10,9 @@ import (
 	"sync/atomic"
 
 	"liquidarch/internal/fpga"
+	"liquidarch/internal/measure"
 	"liquidarch/internal/phase"
+	"liquidarch/internal/platform"
 )
 
 // Durable model tier: a built model set — the product of the ~52
@@ -67,9 +69,7 @@ func (s *ModelStore) versionDir() string {
 }
 
 // artifactID is the durable identity of a model set: the hex SHA-256
-// over the modelKey's fields. It names both the artifact file and the
-// measurement store's set manifest (measure.Store.SaveSet), so the two
-// tiers cross-reference by construction.
+// over the modelKey's fields. It names the artifact file.
 func (k modelKey) artifactID() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "prog=%s\nspace=%s\nscale=%s\nsample=%d\ninterval=%d\nthreshold=%g\n",
@@ -148,6 +148,9 @@ func decodeModelSet(data []byte, key modelKey) (*modelSet, error) {
 		return nil, fmt.Errorf("core: model artifact holds no models")
 	}
 	if in.Trace != nil {
+		if err := checkTrace(in.Trace); err != nil {
+			return nil, err
+		}
 		// A phase artifact must be internally consistent: one model per
 		// phase beyond the whole-program one, one base profile per phase,
 		// one representative signature per phase (the online classifier's
@@ -171,15 +174,67 @@ func decodeModelSet(data []byte, key modelKey) (*modelSet, error) {
 		if err := m.UnmarshalJSON(raw); err != nil {
 			return nil, fmt.Errorf("core: model %d of artifact: %w", i, err)
 		}
+		if m.Scale != key.scale || m.Space.Fingerprint() != key.space {
+			return nil, fmt.Errorf("core: model %d of artifact does not answer its key", i)
+		}
 		set.models = append(set.models, m)
 	}
 	return set, nil
+}
+
+// checkTrace refuses a phase trace that the report, replay and online
+// stages could not index, replay or classify against. Detection always
+// yields at least one phase, its segments are the run-length encoding of
+// its interval assignments over phases in [0, Phases), and each phase's
+// representative is a full block-signature vector.
+func checkTrace(t *phase.Trace) error {
+	if t.Phases < 1 || len(t.Segments) == 0 {
+		return fmt.Errorf("core: phase model artifact holds an empty trace")
+	}
+	for _, rep := range t.Representatives {
+		if len(rep) != platform.SignatureBuckets {
+			return fmt.Errorf("core: phase model artifact holds a %d-bucket representative", len(rep))
+		}
+	}
+	next := 0
+	for _, seg := range t.Segments {
+		if seg.Phase < 0 || seg.Phase >= t.Phases {
+			return fmt.Errorf("core: phase model artifact names phase %d of %d", seg.Phase, t.Phases)
+		}
+		if seg.Start != next || seg.End < seg.Start || seg.End >= len(t.Assignments) {
+			return fmt.Errorf("core: phase model artifact segments do not tile its intervals")
+		}
+		for _, p := range t.Assignments[seg.Start : seg.End+1] {
+			if p != seg.Phase {
+				return fmt.Errorf("core: phase model artifact segments disagree with its assignments")
+			}
+		}
+		next = seg.End + 1
+	}
+	if next != len(t.Assignments) {
+		return fmt.Errorf("core: phase model artifact segments do not tile its intervals")
+	}
+	return nil
 }
 
 // save spills one completed build for key. Only callers holding a
 // successfully built set may call it, so an artifact on disk always
 // describes a finished build.
 func (s *ModelStore) save(key modelKey, set *modelSet) error {
+	data, err := encodeModelSet(key, set)
+	if err != nil {
+		return err
+	}
+	if err := measure.WriteFileAtomic(s.path(key), data); err != nil {
+		return err
+	}
+	s.spills.Add(1)
+	return nil
+}
+
+// encodeModelSet serializes one model set as the artifact for key, the
+// inverse of decodeModelSet.
+func encodeModelSet(key modelKey, set *modelSet) ([]byte, error) {
 	out := modelSetJSON{
 		Version:      ModelSetVersion,
 		App:          set.models[0].App,
@@ -197,39 +252,13 @@ func (s *ModelStore) save(key modelKey, set *modelSet) error {
 	for _, m := range set.models {
 		raw, err := m.MarshalJSON()
 		if err != nil {
-			return fmt.Errorf("core: encoding model artifact: %w", err)
+			return nil, fmt.Errorf("core: encoding model artifact: %w", err)
 		}
 		out.Models = append(out.Models, raw)
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
-		return fmt.Errorf("core: encoding model artifact: %w", err)
+		return nil, fmt.Errorf("core: encoding model artifact: %w", err)
 	}
-	if err := writeFileAtomic(s.path(key), data); err != nil {
-		return err
-	}
-	s.spills.Add(1)
-	return nil
-}
-
-// writeFileAtomic writes data to path via temp file + rename, so
-// concurrent readers (and sibling replicas) never observe a partial
-// artifact.
-func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("core: writing %s: %w", filepath.Base(path), err)
-	}
-	_, werr := tmp.Write(data)
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), path)
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("core: writing %s: %w", filepath.Base(path), werr)
-	}
-	return nil
+	return data, nil
 }

@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -195,50 +197,84 @@ func TestModelArtifactFailedBuildNotSpilled(t *testing.T) {
 	}
 }
 
-// TestModelArtifactWritesSetManifest: spilling through a session wired
-// to a measurement store records the build's measurement set, and the
-// manifest names only resident entries.
-func TestModelArtifactWritesSetManifest(t *testing.T) {
-	modelDir, cacheDir := t.TempDir(), t.TempDir()
-	ms, err := core.NewModelStore(modelDir)
-	if err != nil {
-		t.Fatal(err)
+// TestModelArtifactTamperedTraceReadsAsMiss: a phase artifact whose
+// trace the later stages cannot use — a segment naming a phase outside
+// [0, Phases), segments that do not tile the trace's intervals, or a
+// representative shorter than a block signature — is refused on load:
+// it reads as a disk miss and the rebuild reports exactly what the first
+// build did, instead of panicking on an out-of-range phase, scheduling
+// the wrong intervals or leaving online adaptation unable to classify.
+func TestModelArtifactTamperedTraceReadsAsMiss(t *testing.T) {
+	lastSegment := func(trace map[string]any) map[string]any {
+		segs := trace["segments"].([]any)
+		return segs[len(segs)-1].(map[string]any)
 	}
-	store, err := measure.NewStore(cacheDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := measure.NewCache(measure.NewPersistent(&countedSimulator{}, store), 512)
-	sess := core.NewSession(core.SessionOptions{
-		Provider:     cache,
-		ModelStore:   ms,
-		MeasureStore: store,
-	})
-	if _, err := sess.Tune(context.Background(), core.Request{
-		App: "arith", Scale: workload.Tiny, Space: config.DcacheGeometrySpace(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	manifests, err := filepath.Glob(filepath.Join(cacheDir, "v1", "*.set"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(manifests) != 1 {
-		t.Fatalf("set manifests: %v, want exactly one", manifests)
-	}
-	data, err := os.ReadFile(manifests[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every named member must be resident: the manifest is written after
-	// the entries it names.
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(strings.Trim(strings.TrimSpace(line), `",`))
-		if !strings.HasSuffix(line, ".json") {
-			continue
-		}
-		if _, err := os.Stat(filepath.Join(cacheDir, "v1", line)); err != nil {
-			t.Errorf("manifest names non-resident entry %s: %v", line, err)
-		}
+	for name, tamper := range map[string]func(trace map[string]any){
+		"phase out of range": func(trace map[string]any) { lastSegment(trace)["phase"] = 99 },
+		"segments not tiling": func(trace map[string]any) {
+			seg := lastSegment(trace)
+			end, _ := seg["end"].(json.Number).Int64()
+			seg["end"] = end + 1
+		},
+		"short representative": func(trace map[string]any) {
+			trace["representatives"].([]any)[0] = []any{}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			ms, err := core.NewModelStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cache := measure.NewCache(&countedSimulator{}, 512)
+			req := core.Request{
+				App:    "arith",
+				Scale:  workload.Tiny,
+				Space:  config.DcacheGeometrySpace(),
+				Phases: &core.PhaseOptions{IntervalInstructions: 10_000},
+			}
+			first := core.NewSession(core.SessionOptions{Provider: cache, ModelStore: ms})
+			repA, err := first.Tune(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files := artifactFiles(t, dir)
+			if len(files) != 1 {
+				t.Fatalf("artifact files: %v", files)
+			}
+			data, err := os.ReadFile(files[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc map[string]any
+			dec := json.NewDecoder(bytes.NewReader(data))
+			dec.UseNumber()
+			if err := dec.Decode(&doc); err != nil {
+				t.Fatal(err)
+			}
+			tamper(doc["trace"].(map[string]any))
+			if data, err = json.Marshal(doc); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(files[0], data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			second := core.NewSession(core.SessionOptions{Provider: cache, ModelStore: ms})
+			repB, err := second.Tune(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The disk counters live on the shared store: the first
+			// session's miss plus the refused artifact.
+			if st := second.ModelStats(); st.Builds != 1 || st.DiskHits != 0 || st.DiskMisses != 2 {
+				t.Errorf("tampered artifact stats %+v, want 1 build / 0 disk hits / 2 disk misses", st)
+			}
+			a, _ := json.Marshal(repA)
+			b, _ := json.Marshal(repB)
+			if !bytes.Equal(a, b) {
+				t.Errorf("rebuild after a refused artifact changed the report:\n%s\n%s", a, b)
+			}
+		})
 	}
 }

@@ -30,12 +30,11 @@ import (
 // A Session is safe for concurrent use; concurrent Tune calls for the
 // same (program, space, scale, interval) join one model build.
 type Session struct {
-	provider     measure.Provider
-	workers      int
-	solver       binlp.Options
-	models       *modelCache
-	store        *ModelStore
-	measureStore *measure.Store
+	provider measure.Provider
+	workers  int
+	solver   binlp.Options
+	models   *modelCache
+	store    *ModelStore
 }
 
 // SessionOptions configures a Session. The zero value is usable: the
@@ -63,12 +62,6 @@ type SessionOptions struct {
 	// rebuild. Corrupt or mismatched artifacts read as misses; failed
 	// builds are never spilled.
 	ModelStore *ModelStore
-	// MeasureStore, when set alongside ModelStore, receives a set
-	// manifest (measure.Store.SaveSet) for every spilled model set,
-	// naming the measurement entries the build consumed — the store's GC
-	// then evicts a build's entries as one cohesive unit instead of
-	// breaking warm sets one file at a time.
-	MeasureStore *measure.Store
 }
 
 // DefaultModelCacheEntries bounds a session's model layer when
@@ -84,12 +77,11 @@ func NewSession(opts SessionOptions) *Session {
 		p = measure.Default()
 	}
 	return &Session{
-		provider:     p,
-		workers:      opts.Workers,
-		solver:       opts.SolverOptions,
-		models:       newModelCache(opts.ModelCacheEntries),
-		store:        opts.ModelStore,
-		measureStore: opts.MeasureStore,
+		provider: p,
+		workers:  opts.Workers,
+		solver:   opts.SolverOptions,
+		models:   newModelCache(opts.ModelCacheEntries),
+		store:    opts.ModelStore,
 	}
 }
 
@@ -190,24 +182,13 @@ func (s *Session) Tune(ctx context.Context, req Request) (*Report, error) {
 					return ds, false, nil
 				}
 			}
-			bt := *t
-			var rec *measure.KeyRecorder
-			if s.store != nil && s.measureStore != nil {
-				// Record the measurement keys the build consumes (cache
-				// hits included) so the spill can name its cohesive set.
-				// Validation runs happen outside this closure and stay out.
-				rec = measure.NewKeyRecorder(bt.provider)
-				bt.provider = rec
-			}
-			built, err := bt.buildSet(mctx, b)
+			built, err := t.buildSet(mctx, b)
 			if err != nil {
 				return nil, false, err
 			}
 			if s.store != nil {
 				// Spill best-effort: a full disk must not fail the tune.
-				if serr := s.store.save(key, built); serr == nil && rec != nil {
-					_ = s.measureStore.SaveSet(key.artifactID(), rec.Keys())
-				}
+				_ = s.store.save(key, built)
 			}
 			return built, true, nil
 		})

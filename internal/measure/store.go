@@ -120,11 +120,14 @@ func (s *Store) handshake() error {
 	if err != nil {
 		return fmt.Errorf("measure: writing store manifest: %w", err)
 	}
-	return s.writeAtomic(path, append(out, '\n'))
+	return WriteFileAtomic(path, append(out, '\n'))
 }
 
-// writeAtomic writes data to path via temp file + rename.
-func (s *Store) writeAtomic(path string, data []byte) error {
+// WriteFileAtomic writes data to path via temp file + rename, so
+// concurrent readers (and sibling replicas sharing the directory) never
+// observe a partial file. Both durable tiers — this store's entries and
+// core's model artifacts — write through it.
+func WriteFileAtomic(path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("measure: writing %s: %w", filepath.Base(path), err)
@@ -241,49 +244,11 @@ func (s *Store) Save(key Key, rep *platform.RunReport) error {
 	if err != nil {
 		return fmt.Errorf("measure: encoding report: %w", err)
 	}
-	if err := s.writeAtomic(s.path(key), data); err != nil {
+	if err := WriteFileAtomic(s.path(key), data); err != nil {
 		return err
 	}
 	s.saves.Add(1)
 	return nil
-}
-
-// setManifest marks a group of entries as one cohesive measurement set:
-// the ~52 single-change runs behind one model build. The GC sweep treats
-// a complete set as a single eviction unit (see GC), so a restarted
-// replica replaying a spilled model's measurements finds either all of
-// them or none — never a split set that forces a partial rebuild.
-type setManifest struct {
-	Version int `json:"version"`
-	// Entries are the member entry file names (base names, .json
-	// included), sorted.
-	Entries []string `json:"entries"`
-}
-
-// SaveSet records that the entries for keys form one cohesive set,
-// written as <id>.set beside the entries (id must be path-safe — the
-// callers use a hex fingerprint). Saving an empty set is a no-op.
-// Best-effort like entry spills: a lost manifest only costs the set its
-// eviction cohesion, never correctness.
-func (s *Store) SaveSet(id string, keys []Key) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	seen := make(map[string]bool, len(keys))
-	names := make([]string, 0, len(keys))
-	for _, k := range keys {
-		name := filepath.Base(s.path(k))
-		if !seen[name] {
-			seen[name] = true
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	data, err := json.MarshalIndent(setManifest{Version: StoreVersion, Entries: names}, "", "  ")
-	if err != nil {
-		return fmt.Errorf("measure: encoding set manifest: %w", err)
-	}
-	return s.writeAtomic(filepath.Join(s.versionDir(), id+".set"), data)
 }
 
 // Measurement claim lease (cross-replica singleflight, best effort).
@@ -440,9 +405,6 @@ type GCResult struct {
 	// Removed counts the entries deleted, RemovedBytes their size.
 	Removed      int
 	RemovedBytes int64
-	// RemovedSets counts the set manifests deleted — with their evicted
-	// set, or on their own when stale or corrupt.
-	RemovedSets int
 	// Entries and Bytes describe what remains.
 	Entries int
 	Bytes   int64
@@ -462,46 +424,15 @@ type gcEntry struct {
 // tolerates concurrent writers and concurrent sweeps: files that vanish
 // mid-sweep are skipped, and a just-rewritten entry at worst gets
 // removed once and re-measured once. Stale temp files (crashed writers)
-// older than an hour are collected too.
-//
-// Set cohesion: entries named by a set manifest (SaveSet) are evicted as
-// one unit whose heat is its newest member's mtime — both bounds remove
-// whole complete cold sets before touching a warmer one, so the byte
-// sweep never shaves the oldest few entries off a set another replica is
-// about to replay (a split set silently costs a whole model rebuild, the
-// most expensive miss the store can cause). Manifests sharing a member
-// merge into one unit; entries in no manifest are single-entry units,
-// giving loose entries exactly the pre-set LRU behaviour. A manifest
-// whose members are not all resident is stale — its set is already
-// broken — and is collected like an expired claim, its survivors
-// reverting to loose; corrupt manifests are removed on sight.
+// older than an hour are collected too, and so are the `.set` manifests
+// older releases wrote beside the entries: nothing reads them any more.
 func (s *Store) GC(policy GCPolicy) GCResult {
 	s.gcRuns.Add(1)
 	now := time.Now()
-	// Root-level housekeeping: crashed manifest-rewrite temp files, and
-	// v<k> trees orphaned by a StoreVersion bump. Old trees are removed
-	// only under an age bound and only once quiescent for MaxAge: the
-	// handshake refuses *new* old-version replicas, but one that opened
-	// the directory before an upgrade may still be alive — while it
-	// keeps hitting disk, its loads and saves keep the old tree's
-	// mtimes fresh. Best-effort, not a lease: an old replica idle past
-	// MaxAge can lose its tree and pays with re-simulation, never
-	// correctness.
+	// Root-level housekeeping: crashed manifest-rewrite temp files.
 	if rootEntries, err := os.ReadDir(s.dir); err == nil {
 		for _, e := range rootEntries {
-			if e.IsDir() {
-				if name, ok := strings.CutPrefix(e.Name(), "v"); ok {
-					if k, err := strconv.Atoi(name); err == nil && k < StoreVersion &&
-						policy.MaxAge > 0 {
-						path := filepath.Join(s.dir, e.Name())
-						if now.Sub(newestMtime(path)) > policy.MaxAge {
-							_ = os.RemoveAll(path)
-						}
-					}
-				}
-				continue
-			}
-			if !strings.HasPrefix(e.Name(), ".tmp-") {
+			if e.IsDir() || !strings.HasPrefix(e.Name(), ".tmp-") {
 				continue
 			}
 			if info, err := e.Info(); err == nil && now.Sub(info.ModTime()) > time.Hour {
@@ -515,12 +446,7 @@ func (s *Store) GC(policy GCPolicy) GCResult {
 		return GCResult{}
 	}
 	var res GCResult
-	entries := make(map[string]gcEntry) // resident entries by base name
-	type setFile struct {
-		path    string
-		members []string
-	}
-	var sets []setFile
+	var entries []gcEntry
 	for _, e := range names {
 		if e.IsDir() {
 			continue
@@ -530,13 +456,12 @@ func (s *Store) GC(policy GCPolicy) GCResult {
 			continue // vanished under us
 		}
 		path := filepath.Join(dir, e.Name())
-		if strings.HasPrefix(e.Name(), ".tmp-") {
+		switch {
+		case strings.HasPrefix(e.Name(), ".tmp-"):
 			if now.Sub(info.ModTime()) > time.Hour {
 				_ = os.Remove(path)
 			}
-			continue
-		}
-		if strings.HasSuffix(e.Name(), ".claim") {
+		case strings.HasSuffix(e.Name(), ".claim"):
 			// Collect leftover claims of crashed replicas honouring the
 			// expiry stamped inside the file — a live claim under a long
 			// -store-lease TTL must survive the sweep. TryClaim also
@@ -554,146 +479,49 @@ func (s *Store) GC(policy GCPolicy) GCResult {
 			if now.Sub(info.ModTime()) > time.Hour {
 				_ = os.Remove(path)
 			}
-			continue
+		case strings.HasSuffix(e.Name(), ".set"):
+			_ = os.Remove(path)
+		case strings.HasSuffix(e.Name(), ".json"):
+			entries = append(entries, gcEntry{path: path, size: info.Size(), mtime: info.ModTime()})
 		}
-		if strings.HasSuffix(e.Name(), ".set") {
-			data, rerr := os.ReadFile(path)
-			if rerr != nil {
-				continue // vanished under us
-			}
-			var m setManifest
-			if json.Unmarshal(data, &m) != nil || m.Version != StoreVersion || len(m.Entries) == 0 {
-				if os.Remove(path) == nil {
-					res.RemovedSets++
-				}
-				continue
-			}
-			sets = append(sets, setFile{path: path, members: m.Entries})
-			continue
-		}
-		if !strings.HasSuffix(e.Name(), ".json") {
-			continue
-		}
-		entries[e.Name()] = gcEntry{path: path, size: info.Size(), mtime: info.ModTime()}
-	}
-
-	// Stale manifests: a member already gone (crashed spill, racing
-	// sweep, read-repair) means the set is broken — drop the manifest,
-	// its survivors revert to loose entries.
-	intact := sets[:0]
-	for _, sf := range sets {
-		complete := true
-		for _, m := range sf.members {
-			if _, ok := entries[m]; !ok {
-				complete = false
-				break
-			}
-		}
-		if !complete {
-			if os.Remove(sf.path) == nil {
-				res.RemovedSets++
-			}
-			continue
-		}
-		intact = append(intact, sf)
-	}
-	sets = intact
-
-	// Union-find over entry names merges manifests that share a member
-	// into one eviction unit; untouched entries stay their own unit.
-	parent := make(map[string]string, len(entries))
-	for name := range entries {
-		parent[name] = name
-	}
-	var find func(string) string
-	find = func(x string) string {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, sf := range sets {
-		r := find(sf.members[0])
-		for _, m := range sf.members[1:] {
-			parent[find(m)] = r
-		}
-	}
-
-	type gcUnit struct {
-		members   []gcEntry
-		manifests []string
-		size      int64
-		heat      time.Time // newest member mtime
-	}
-	units := make(map[string]*gcUnit)
-	for name, ge := range entries {
-		r := find(name)
-		u := units[r]
-		if u == nil {
-			u = &gcUnit{}
-			units[r] = u
-		}
-		u.members = append(u.members, ge)
-		u.size += ge.size
-		if ge.mtime.After(u.heat) {
-			u.heat = ge.mtime
-		}
-	}
-	for _, sf := range sets {
-		u := units[find(sf.members[0])]
-		u.manifests = append(u.manifests, sf.path)
 	}
 
 	// stuck tracks entries we failed to remove (permissions on a shared
 	// dir): still resident, kept on the books so the metrics don't lie.
 	var stuck []gcEntry
-	removeUnit := func(u *gcUnit) (freed int64) {
-		for _, ge := range u.members {
-			rerr := os.Remove(ge.path)
-			if rerr == nil {
-				res.Removed++
-				res.RemovedBytes += ge.size
-				freed += ge.size
-			} else if os.IsNotExist(rerr) {
-				freed += ge.size // a racing sweep got it: off the books either way
-			} else {
-				stuck = append(stuck, ge)
-			}
+	remove := func(ge gcEntry) (freed int64) {
+		rerr := os.Remove(ge.path)
+		switch {
+		case rerr == nil:
+			res.Removed++
+			res.RemovedBytes += ge.size
+			return ge.size
+		case os.IsNotExist(rerr):
+			return ge.size // a racing sweep got it: off the books either way
 		}
-		for _, mp := range u.manifests {
-			if os.Remove(mp) == nil {
-				res.RemovedSets++
-			}
-		}
-		return freed
+		stuck = append(stuck, ge)
+		return 0
 	}
 
-	var live []*gcUnit
+	var live []gcEntry
 	var total int64
-	for _, u := range units {
-		if policy.MaxAge > 0 && now.Sub(u.heat) > policy.MaxAge {
-			removeUnit(u)
+	for _, ge := range entries {
+		if policy.MaxAge > 0 && now.Sub(ge.mtime) > policy.MaxAge {
+			remove(ge)
 			continue
 		}
-		live = append(live, u)
-		total += u.size
+		live = append(live, ge)
+		total += ge.size
 	}
 	if policy.MaxBytes > 0 && total > policy.MaxBytes {
-		sort.Slice(live, func(a, b int) bool { return live[a].heat.Before(live[b].heat) })
+		sort.Slice(live, func(a, b int) bool { return live[a].mtime.Before(live[b].mtime) })
 		i := 0
 		for ; i < len(live) && total > policy.MaxBytes; i++ {
-			total -= removeUnit(live[i])
+			total -= remove(live[i])
 		}
 		live = live[i:]
 	}
-	for _, u := range live {
-		for _, ge := range u.members {
-			res.Entries++
-			res.Bytes += ge.size
-		}
-	}
-	for _, ge := range stuck {
+	for _, ge := range append(live, stuck...) {
 		res.Entries++
 		res.Bytes += ge.size
 	}
@@ -702,26 +530,6 @@ func (s *Store) GC(policy GCPolicy) GCResult {
 	s.noteFootprint(s.loads.Load()+s.saves.Load()+s.repaired.Load()+s.gcRuns.Load(),
 		res.Entries, res.Bytes)
 	return res
-}
-
-// newestMtime returns the freshest modification time in dir (the dir
-// itself or any immediate entry) — the "is anyone still using this
-// tree" probe behind old-version reclamation.
-func newestMtime(dir string) time.Time {
-	var newest time.Time
-	if info, err := os.Stat(dir); err == nil {
-		newest = info.ModTime()
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return newest
-	}
-	for _, e := range entries {
-		if info, err := e.Info(); err == nil && info.ModTime().After(newest) {
-			newest = info.ModTime()
-		}
-	}
-	return newest
 }
 
 // StoreStats is a point-in-time snapshot of a Store's counters plus its
@@ -814,7 +622,6 @@ type Persistent struct {
 	store *Store
 
 	gcPolicy GCPolicy
-	gcEvery  uint64
 	saven    atomic.Uint64 // saves since the last sweep
 
 	leaseTTL time.Duration
@@ -825,22 +632,16 @@ func NewPersistent(inner Provider, store *Store) *Persistent {
 	return &Persistent{inner: inner, store: store}
 }
 
-// DefaultGCEvery is how many spills elapse between GC sweeps when
-// EnableGC does not say otherwise. A sweep is one readdir + stats, so
-// amortizing over a few dozen writes keeps it invisible next to even a
-// single simulation.
-const DefaultGCEvery = 64
+// gcEvery is how many spills elapse between GC sweeps. A sweep is one
+// readdir + stats, so amortizing over a few dozen writes keeps it
+// invisible next to even a single simulation.
+const gcEvery = 64
 
 // EnableGC makes the provider sweep its store to within policy after
-// every `every` spills (<= 0 means DefaultGCEvery), and once immediately
-// so a long-dormant oversized directory is bounded at startup. Returns
-// the receiver for chaining.
-func (p *Persistent) EnableGC(policy GCPolicy, every int) *Persistent {
-	if every <= 0 {
-		every = DefaultGCEvery
-	}
+// every gcEvery spills, and once immediately so a long-dormant oversized
+// directory is bounded at startup. Returns the receiver for chaining.
+func (p *Persistent) EnableGC(policy GCPolicy) *Persistent {
 	p.gcPolicy = policy
-	p.gcEvery = uint64(every)
 	if policy.Enabled() {
 		p.store.GC(policy)
 	}
@@ -909,7 +710,7 @@ func (p *Persistent) Measure(ctx context.Context, prog *asm.Program, cfg config.
 	}
 	// Spill best-effort: a full disk must not fail the measurement.
 	_ = p.store.Save(key, rep)
-	if p.gcPolicy.Enabled() && p.saven.Add(1)%p.gcEvery == 0 {
+	if p.gcPolicy.Enabled() && p.saven.Add(1)%gcEvery == 0 {
 		p.store.GC(p.gcPolicy)
 	}
 	return rep, nil

@@ -188,58 +188,42 @@ func TestStoreGCRacingConcurrentWriter(t *testing.T) {
 	}
 }
 
-func TestStoreGCReclaimsQuiescentOlderVersionTrees(t *testing.T) {
+// TestStoreGCRemovesLeftoverSetManifests: stores written by older
+// releases carry `.set` manifests beside their entries. Nothing reads
+// them any more, so any sweep — even one that bounds nothing — removes
+// them, while the entries they named stay resident and loadable.
+func TestStoreGCRemovesLeftoverSetManifests(t *testing.T) {
 	t.Parallel()
-	dir := t.TempDir()
-	// Trees left behind by an older format — one quiescent, one still
-	// being touched (a live pre-upgrade replica) — plus a non-store
-	// directory that must be left alone.
-	quiet := filepath.Join(dir, "v0")
-	live := filepath.Join(dir, "v-1")
-	foreign := filepath.Join(dir, "vault")
-	for _, d := range []string{quiet, live, foreign} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(d, "x.json"), []byte("{}"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	then := time.Now().Add(-3 * time.Hour)
-	for _, p := range []string{quiet, filepath.Join(quiet, "x.json"), live} {
-		if err := os.Chtimes(p, then, then); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// live's entry keeps a fresh mtime — someone is still writing it.
-
-	store, err := NewStore(dir)
+	store, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.GC(GCPolicy{MaxAge: time.Hour})
-	if _, err := os.Stat(quiet); !os.IsNotExist(err) {
-		t.Error("quiescent v0 tree survived GC")
+	keys := saveN(t, store, 3)
+	names := make([]string, len(keys))
+	for i, k := range keys {
+		names[i] = filepath.Base(store.path(k))
 	}
-	if _, err := os.Stat(live); err != nil {
-		t.Error("GC removed an old tree that is still in use")
-	}
-	if _, err := os.Stat(foreign); err != nil {
-		t.Error("GC removed a directory that is not a store version tree")
-	}
-	if _, err := os.Stat(store.versionDir()); err != nil {
-		t.Error("GC removed the current version tree")
-	}
-	// Without an age bound old trees are never touched.
-	if err := os.MkdirAll(quiet, 0o755); err != nil {
+	// The older manifest format: a complete set naming resident entries.
+	data, err := json.Marshal(map[string]any{"version": StoreVersion, "entries": names})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Chtimes(quiet, then, then); err != nil {
+	set := filepath.Join(store.versionDir(), strings.Repeat("ab", 32)+".set")
+	if err := os.WriteFile(set, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	store.GC(GCPolicy{MaxBytes: 1})
-	if _, err := os.Stat(quiet); err != nil {
-		t.Error("byte-only GC removed an old version tree")
+
+	res := store.GC(GCPolicy{})
+	if _, err := os.Stat(set); !os.IsNotExist(err) {
+		t.Errorf("leftover set manifest survived a sweep (stat err %v)", err)
+	}
+	if res.Removed != 0 || res.Entries != len(keys) {
+		t.Errorf("sweep: removed %d, %d resident, want 0 and %d", res.Removed, res.Entries, len(keys))
+	}
+	for _, k := range keys {
+		if _, ok := store.Load(k); !ok {
+			t.Error("entry named by a leftover manifest was lost")
+		}
 	}
 }
 
@@ -328,20 +312,20 @@ func TestPersistentEnableGCBoundsTheStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	policy := GCPolicy{MaxBytes: 1500}
-	p := NewPersistent(&fakeProvider{}, store).EnableGC(policy, 2)
+	p := NewPersistent(&fakeProvider{}, store).EnableGC(policy)
 	ctx := context.Background()
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 2*gcEvery; i++ {
 		if _, err := p.Measure(ctx, testProgram(t, i), config.Default(), platform.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// The last sweep ran at save 20; at most one un-swept save (~300 B)
-	// can sit above the bound between sweeps.
+	// The last sweep ran at the final save, so the store sits within the
+	// bound: one sweep at startup and one every gcEvery spills.
 	st := store.Stats()
-	if st.Bytes > policy.MaxBytes+1024 {
+	if st.Bytes > policy.MaxBytes {
 		t.Fatalf("store at %d bytes despite periodic GC to %d", st.Bytes, policy.MaxBytes)
 	}
-	if st.GCRuns == 0 {
-		t.Error("no GC runs recorded")
+	if st.GCRuns != 3 {
+		t.Errorf("%d GC runs recorded, want 3", st.GCRuns)
 	}
 }
